@@ -13,17 +13,21 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .net import AddressRange
+from . import pcapio
+from .net import AddressRange, int_to_ip, ip_to_int
 from .packets import (
     PROTO_TCP,
     TCP_ACK,
     TCP_RST,
     TCP_SYN,
+    DecodeError,
     FlowKey,
     PacketRecord,
+    parse_headers,
 )
 
 
@@ -35,6 +39,9 @@ class WindowEmpty(AnalysisError):
     pass
 
 
+DAY_US = 86_400_000_000
+
+
 def day_of(ts_us: int) -> str:
     return datetime.fromtimestamp(ts_us // 1_000_000, tz=timezone.utc).strftime("%Y-%m-%d")
 
@@ -42,7 +49,7 @@ def day_of(ts_us: int) -> str:
 def day_bounds_us(day: str) -> tuple[int, int]:
     start = datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc)
     start_us = int(start.timestamp()) * 1_000_000
-    return start_us, start_us + 86_400_000_000
+    return start_us, start_us + DAY_US
 
 
 def day_range(start_day: str, n_days: int) -> list[str]:
@@ -50,7 +57,7 @@ def day_range(start_day: str, n_days: int) -> list[str]:
     return [(start + timedelta(days=i)).strftime("%Y-%m-%d") for i in range(n_days)]
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     key: FlowKey
     day: str
@@ -61,6 +68,55 @@ class FlowRecord:
     flags_seen: int
 
 
+def trace_packets(paths) -> Iterator[tuple]:
+    """Stream (ts, src, dst, proto, src_port, dst_port, tcp_flags, payload_len)
+    for every decodable frame of the given pcap files, addresses as ints.
+
+    Frames that fail packets.parse_headers are skipped, as the sensor's
+    capture skips them.
+    """
+    for path in paths:
+        for ts, raw, link_type in pcapio.read_pcap(path):
+            try:
+                src, dst, proto, sport, dport, flags, start, end = parse_headers(raw, link_type)
+            except DecodeError:
+                continue
+            yield ts, src, dst, proto, sport, dport, flags, end - start
+
+
+def build_flows(packets: Iterable[tuple]) -> list[FlowRecord]:
+    """One FlowRecord per (UTC day, 5-tuple) over a trace_packets-shaped stream.
+
+    A single pass into one table keyed by (day number, integer 5-tuple), so
+    memory grows with the number of flows, not packets. Sorting the keys
+    orders the output by day, then by FlowKey.sort_key; addresses and days
+    are rendered once each.
+    """
+    table: dict[tuple, list] = {}
+    get = table.get
+    for ts, src, dst, proto, sport, dport, flags, nbytes in packets:
+        key = (ts // DAY_US, src, dst, proto, sport, dport)
+        rec = get(key)
+        if rec is None:
+            table[key] = [1, nbytes, ts, ts, flags]
+        else:
+            rec[0] += 1
+            rec[1] += nbytes
+            if ts < rec[2]:
+                rec[2] = ts
+            elif ts > rec[3]:
+                rec[3] = ts
+            rec[4] |= flags
+    quad = cache(int_to_ip)
+    day_name = cache(lambda day: day_of(day * DAY_US))
+    flows = []
+    for key in sorted(table):
+        day, src, dst, proto, sport, dport = key
+        flow_key = FlowKey(quad(src), quad(dst), proto, sport, dport)
+        flows.append(FlowRecord(flow_key, day_name(day), *table[key]))
+    return flows
+
+
 def aggregate_flows(packets: Iterable[PacketRecord], day: str) -> list[FlowRecord]:
     """One FlowRecord per distinct 5-tuple seen on the given UTC day.
 
@@ -68,29 +124,16 @@ def aggregate_flows(packets: Iterable[PacketRecord], day: str) -> list[FlowRecor
     over the same stream serialize identically.
     """
     lo, hi = day_bounds_us(day)
-    flows: dict[FlowKey, FlowRecord] = {}
-    for pkt in packets:
-        if not lo <= pkt.ts < hi:
-            raise AnalysisError(f"packet at {pkt.ts} outside day {day}")
-        key = pkt.flow_key()
-        rec = flows.get(key)
-        if rec is None:
-            flows[key] = FlowRecord(
-                key=key,
-                day=day,
-                packets=1,
-                bytes=pkt.payload_len,
-                first_ts=pkt.ts,
-                last_ts=pkt.ts,
-                flags_seen=pkt.tcp_flags,
-            )
-        else:
-            rec.packets += 1
-            rec.bytes += pkt.payload_len
-            rec.first_ts = min(rec.first_ts, pkt.ts)
-            rec.last_ts = max(rec.last_ts, pkt.ts)
-            rec.flags_seen |= pkt.tcp_flags
-    return [flows[k] for k in sorted(flows, key=lambda key: key.sort_key())]
+    to_int = cache(ip_to_int)
+
+    def rows():
+        for pkt in packets:
+            if not lo <= pkt.ts < hi:
+                raise AnalysisError(f"packet at {pkt.ts} outside day {day}")
+            yield (pkt.ts, to_int(pkt.src_ip), to_int(pkt.dst_ip), pkt.proto, pkt.src_port,
+                   pkt.dst_port, pkt.tcp_flags, pkt.payload_len)
+
+    return build_flows(rows())
 
 
 def bucket_by_day(packets: Iterable[PacketRecord]) -> dict[str, list[PacketRecord]]:

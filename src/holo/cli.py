@@ -21,7 +21,6 @@ import yaml
 from . import analysis, collector, controlplane as cp, darknet, overlay, simnet, toolbox
 from .agent import AgentCore, AgentIdentity, AgentProcess, build_sensor_program, onboard
 from .hub import HubServer, admin_request
-from .packets import decode, DecodeError
 
 
 def parse_ttl(text: str) -> float:
@@ -205,39 +204,18 @@ def cmd_sim_run(args) -> int:
     return 0
 
 
-def _load_captures(in_dir: Path):
-    """Per-sensor PacketRecords from the pcap+sidecar files under in_dir."""
-    per_sensor: dict[str, list] = {}
-    metas = sorted(Path(in_dir).rglob("*.pcap.meta.json"))
-    if not metas:
+def _sensor_flows(in_dir: Path) -> dict:
+    """Per-sensor flows of the sealed traces under in_dir (local or lake layout)."""
+    paths: dict[str, list] = {}
+    for pcap_path, meta in collector.sealed_traces(in_dir):
+        paths.setdefault(meta.sensor_id, []).append(pcap_path)
+    if not paths:
         raise SystemExit(f"error: no sealed trace files under {in_dir}")
-    from .pcapio import read_pcap
-
-    for meta_path in metas:
-        meta = collector.read_meta(meta_path)
-        pcap_path = Path(str(meta_path)[: -len(".meta.json")])
-        records = per_sensor.setdefault(meta.sensor_id, [])
-        for ts, raw, link_type in read_pcap(pcap_path):
-            try:
-                records.append(decode(raw, link_type, ts=ts))
-            except DecodeError:
-                continue
-    return per_sensor
-
-
-def _flows_by_sensor(per_sensor: dict) -> dict:
-    out = {}
-    for sensor, records in per_sensor.items():
-        flows = []
-        for day, pkts in sorted(analysis.bucket_by_day(records).items()):
-            flows.extend(analysis.aggregate_flows(pkts, day))
-        out[sensor] = flows
-    return out
+    return {sensor: analysis.build_flows(analysis.trace_packets(p)) for sensor, p in paths.items()}
 
 
 def cmd_analyze(args) -> int:
-    per_sensor = _load_captures(Path(args.input))
-    sensor_flows = _flows_by_sensor(per_sensor)
+    sensor_flows = _sensor_flows(Path(args.input))
     out = Path(args.out)
 
     if args.metric == "flows":

@@ -22,6 +22,7 @@ from .packets import LINK_RAW_IPV4, PacketRecord, encode_record
 from .pcapio import global_header, packet_header
 from .toolbox import TokenBucket, allow
 
+HOUR_US = 3_600_000_000
 CHUNK_SIZE = 1 << 20  # trace chunks travel in 1 MiB pieces
 BACKOFF_CAP = 15 * 60.0
 
@@ -52,10 +53,6 @@ def bucket_start_us(bucket: str) -> int:
     return int(dt.timestamp()) * 1_000_000
 
 
-def next_bucket(bucket: str) -> str:
-    return hour_bucket(bucket_start_us(bucket) + 3_600_000_000)
-
-
 @dataclass
 class TraceFileMeta:
     sensor_id: str
@@ -77,6 +74,21 @@ def trace_filename(sensor_id: str, bucket: str) -> str:
 def read_meta(path) -> TraceFileMeta:
     doc = json.loads(Path(path).read_text())
     return TraceFileMeta(**doc)
+
+
+def sealed_traces(root) -> list[tuple[Path, TraceFileMeta]]:
+    """Sealed trace files under root with their sidecars, in path order.
+
+    Accepts the local layout (<sensor>_<bucket>.pcap beside
+    <sensor>_<bucket>.pcap.meta.json) and the lake layout (HH.pcap beside
+    HH.meta.json).
+    """
+    out = []
+    for meta_path in sorted(Path(root).rglob("*.meta.json")):
+        stem = meta_path.name[: -len(".meta.json")]
+        pcap_path = meta_path.with_name(stem if stem.endswith(".pcap") else stem + ".pcap")
+        out.append((pcap_path, read_meta(meta_path)))
+    return out
 
 
 def _sha256_file(path) -> str:
@@ -115,6 +127,7 @@ class HourlyWriter:
         self.dropped = 0
         self._paused = False
         self._bucket: Optional[str] = None
+        self._hour: Optional[int] = None  # ts // HOUR_US of the open file
         self._fh = None
         self._count = 0
         self._bytes = 0
@@ -154,27 +167,28 @@ class HourlyWriter:
         if self._paused:
             self.dropped += 1
             return
-        bucket = hour_bucket(pkt.ts)
-        if self._bucket is None:
-            self._open(bucket)
-        elif bucket != self._bucket:
-            if bucket < self._bucket:
-                raise CollectorError(
-                    f"timestamp went backwards across files ({bucket} < {self._bucket})"
-                )
-            self._seal_open_file()
-            gap = next_bucket(self.sealed[-1].hour_bucket)
-            while gap < bucket:
-                self._open(gap)
+        hour = pkt.ts // HOUR_US
+        if hour != self._hour:
+            bucket = hour_bucket(pkt.ts)
+            if self._bucket is None:
+                self._open(bucket)
+            else:
+                if hour < self._hour:
+                    raise CollectorError(
+                        f"timestamp went backwards across files ({bucket} < {self._bucket})"
+                    )
                 self._seal_open_file()
-                gap = next_bucket(gap)
-            self._open(bucket)
+                for gap in range(self._hour + 1, hour):
+                    self._open(hour_bucket(gap * HOUR_US))
+                    self._seal_open_file()
+                self._open(bucket)
+            self._hour = hour
         data = raw if raw is not None else encode_record(pkt)
         frame = packet_header(pkt.ts, len(data)) + data
         if self.disk_budget is not None and self._written + len(frame) > self.disk_budget:
             self._paused = True
             self.dropped += 1
-            self.on_event({"event": "disk-full", "sensor": self.sensor_id, "bucket": bucket})
+            self.on_event({"event": "disk-full", "sensor": self.sensor_id, "bucket": self._bucket})
             return
         self._fh.write(frame)
         self._written += len(frame)

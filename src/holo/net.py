@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def ip_to_int(ip: str) -> int:
@@ -33,15 +33,21 @@ class AddressRange:
 
     base: str
     prefix_len: int
+    # derived once from base and prefix_len; not part of equality or ordering
+    base_int: int = field(init=False, compare=False, repr=False)
+    mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.prefix_len <= 32:
             raise ValueError(f"prefix_len out of range: {self.prefix_len}")
         base_int = ip_to_int(self.base)
-        if base_int & ~self.netmask() != 0:
+        mask = (0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
+        if base_int & ~mask != 0:
             raise ValueError(
                 f"{self.base}/{self.prefix_len}: base is not the network address"
             )
+        object.__setattr__(self, "base_int", base_int)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def parse(cls, cidr: str) -> "AddressRange":
@@ -50,16 +56,9 @@ class AddressRange:
             raise ValueError(f"missing prefix length: {cidr!r}")
         return cls(base, int(plen))
 
-    def netmask(self) -> int:
-        return (0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
-
-    @property
-    def base_int(self) -> int:
-        return ip_to_int(self.base)
-
     @property
     def last_int(self) -> int:
-        return self.base_int | (~self.netmask() & 0xFFFFFFFF)
+        return self.base_int | (~self.mask & 0xFFFFFFFF)
 
     def num_addresses(self) -> int:
         return 1 << (32 - self.prefix_len)
@@ -68,7 +67,7 @@ class AddressRange:
         return self.contains_int(ip_to_int(ip))
 
     def contains_int(self, ip: int) -> bool:
-        return (ip & self.netmask()) == self.base_int
+        return (ip & self.mask) == self.base_int
 
     def overlaps(self, other: "AddressRange") -> bool:
         return self.base_int <= other.last_int and other.base_int <= self.last_int

@@ -187,78 +187,90 @@ def wrap_ethernet(ip_packet: bytes, src_mac: bytes = b"\x02\x00\x00\x00\x00\x01"
     return dst_mac + src_mac + struct.pack(">H", ETHERTYPE_IPV4) + ip_packet
 
 
+_ETHERTYPE = struct.Struct(">H")
+# version/IHL, total length, flags/fragment offset, protocol, source, destination
+_IPV4 = struct.Struct(">BxHxxHxBxxII")
+_PORTS = struct.Struct(">HH")
+_UDP = struct.Struct(">HHH")
+
+
+def parse_headers(raw, link_type: int) -> tuple[int, int, int, int, int, int, int, int]:
+    """Validate one captured frame and locate its fields.
+
+    Returns (src, dst, proto, src_port, dst_port, tcp_flags, payload_start,
+    payload_end) with integer addresses; the payload is
+    raw[payload_start:payload_end]. Truncated or garbage input raises
+    DecodeError. These are the only frame validity rules in holo.
+    """
+    if link_type == LINK_ETHERNET:
+        if len(raw) < 14:
+            raise DecodeError("ethernet frame shorter than header")
+        (ethertype,) = _ETHERTYPE.unpack_from(raw, 12)
+        if ethertype != ETHERTYPE_IPV4:
+            raise DecodeError(f"unsupported ethertype 0x{ethertype:04x}")
+        off = 14
+    elif link_type == LINK_RAW_IPV4:
+        off = 0
+    else:
+        raise DecodeError(f"unsupported link type {link_type}")
+
+    avail = len(raw) - off
+    if avail < 20:
+        raise DecodeError("short IPv4 header")
+    vihl, total_len, frag, proto, src, dst = _IPV4.unpack_from(raw, off)
+    if vihl >> 4 != 4:
+        raise DecodeError(f"not IPv4 (version {vihl >> 4})")
+    ihl = (vihl & 0x0F) * 4
+    if ihl < 20 or ihl > avail:
+        raise DecodeError("IPv4 header length exceeds frame")
+    if total_len < ihl or total_len > avail:
+        raise DecodeError("IPv4 total length inconsistent with frame")
+    start = off + ihl
+    end = off + total_len
+    body_len = total_len - ihl
+
+    # Non-first fragments carry no transport header: record as-is, portless.
+    if frag & 0x1FFF:
+        return src, dst, proto, 0, 0, 0, start, end
+    if proto == PROTO_TCP:
+        if body_len < 20:
+            raise DecodeError("short TCP header")
+        src_port, dst_port = _PORTS.unpack_from(raw, start)
+        doff = (raw[start + 12] >> 4) * 4
+        if doff < 20 or doff > body_len:
+            raise DecodeError("TCP data offset exceeds segment")
+        return src, dst, proto, src_port, dst_port, raw[start + 13], start + doff, end
+    if proto == PROTO_UDP:
+        if body_len < 8:
+            raise DecodeError("short UDP header")
+        src_port, dst_port, udp_len = _UDP.unpack_from(raw, start)
+        if udp_len < 8 or udp_len > body_len:
+            raise DecodeError("UDP length inconsistent with segment")
+        return src, dst, proto, src_port, dst_port, 0, start + 8, start + udp_len
+    if proto == PROTO_ICMP:
+        if body_len < 8:
+            raise DecodeError("short ICMP header")
+        return src, dst, proto, 0, 0, 0, start + 8, end
+    return src, dst, proto, 0, 0, 0, start, end
+
+
 def decode(raw_bytes: bytes, link_type: int, ts: int = 0, capture_origin: str = ORIGIN_DARKNET) -> PacketRecord:
     """Parse one captured frame into a PacketRecord.
 
     Truncated or garbage input raises DecodeError; a record is only ever
     returned fully populated.
     """
-    if link_type == LINK_ETHERNET:
-        if len(raw_bytes) < 14:
-            raise DecodeError("ethernet frame shorter than header")
-        (ethertype,) = struct.unpack_from(">H", raw_bytes, 12)
-        if ethertype != ETHERTYPE_IPV4:
-            raise DecodeError(f"unsupported ethertype 0x{ethertype:04x}")
-        packet = raw_bytes[14:]
-    elif link_type == LINK_RAW_IPV4:
-        packet = raw_bytes
-    else:
-        raise DecodeError(f"unsupported link type {link_type}")
-
-    if len(packet) < 20:
-        raise DecodeError("short IPv4 header")
-    vihl = packet[0]
-    if vihl >> 4 != 4:
-        raise DecodeError(f"not IPv4 (version {vihl >> 4})")
-    ihl = (vihl & 0x0F) * 4
-    if ihl < 20 or ihl > len(packet):
-        raise DecodeError("IPv4 header length exceeds frame")
-    total_len = struct.unpack_from(">H", packet, 2)[0]
-    if total_len < ihl or total_len > len(packet):
-        raise DecodeError("IPv4 total length inconsistent with frame")
-    frag = struct.unpack_from(">H", packet, 6)[0]
-    frag_offset = frag & 0x1FFF
-    proto = packet[9]
-    src_ip = int_to_ip(struct.unpack_from(">I", packet, 12)[0])
-    dst_ip = int_to_ip(struct.unpack_from(">I", packet, 16)[0])
-    body = packet[ihl:total_len]
-
-    src_port = dst_port = 0
-    tcp_flags = 0
-    payload = body
-    # Non-first fragments carry no transport header: record as-is, portless.
-    if frag_offset == 0:
-        if proto == PROTO_TCP:
-            if len(body) < 20:
-                raise DecodeError("short TCP header")
-            src_port, dst_port = struct.unpack_from(">HH", body, 0)
-            doff = (body[12] >> 4) * 4
-            if doff < 20 or doff > len(body):
-                raise DecodeError("TCP data offset exceeds segment")
-            tcp_flags = body[13]
-            payload = body[doff:]
-        elif proto == PROTO_UDP:
-            if len(body) < 8:
-                raise DecodeError("short UDP header")
-            src_port, dst_port, udp_len, _ = struct.unpack_from(">HHHH", body, 0)
-            if udp_len < 8 or udp_len > len(body):
-                raise DecodeError("UDP length inconsistent with segment")
-            payload = body[8:udp_len]
-        elif proto == PROTO_ICMP:
-            if len(body) < 8:
-                raise DecodeError("short ICMP header")
-            payload = body[8:]
-
+    src, dst, proto, src_port, dst_port, tcp_flags, start, end = parse_headers(raw_bytes, link_type)
     return PacketRecord(
         ts=ts,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
+        src_ip=int_to_ip(src),
+        dst_ip=int_to_ip(dst),
         proto=proto,
         src_port=src_port,
         dst_port=dst_port,
         tcp_flags=tcp_flags,
-        payload_len=len(payload),
-        payload_prefix=bytes(payload[:PAYLOAD_PREFIX_MAX]),
+        payload_len=end - start,
+        payload_prefix=bytes(raw_bytes[start : min(end, start + PAYLOAD_PREFIX_MAX)]),
         capture_origin=capture_origin,
     )
 

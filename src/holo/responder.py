@@ -27,7 +27,6 @@ from .packets import (
     FlowKey,
     PacketRecord,
     build_tcp,
-    decode,
 )
 
 DEFAULT_BACKEND = "l4"
@@ -182,19 +181,6 @@ class TcpSegment:
     ack: int
     raw: bytes = b""
     payload: bytes = b""
-
-
-def segment_from_raw(raw: bytes, link_type: int, ts: int) -> TcpSegment:
-    record = decode(raw, link_type, ts=ts, capture_origin=ORIGIN_RESPONDER)
-    if record.proto != PROTO_TCP:
-        raise ResponderError("not a TCP segment")
-    # seq/ack live at fixed offsets past the IP header
-    ihl = (raw[0] & 0x0F) * 4 if link_type != 1 else ((raw[14] & 0x0F) * 4)
-    base = ihl if link_type != 1 else 14 + ihl
-    seq, ack = struct.unpack_from(">II", raw, base + 4)
-    doff = (raw[base + 12] >> 4) * 4
-    payload = raw[base + doff : base + doff + record.payload_len]
-    return TcpSegment(record, seq, ack, raw, payload)
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import random
+import struct
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +34,20 @@ from holo.packets import (
     TCP_ACK,
     TCP_RST,
     TCP_SYN,
+    ETHERTYPE_ARP,
+    LINK_ETHERNET,
+    LINK_RAW_IPV4,
+    DecodeError,
     FlowKey,
     PacketRecord,
+    build_icmp,
+    build_ipv4,
+    build_tcp,
+    build_udp,
+    decode,
+    wrap_ethernet,
 )
+from holo.pcapio import read_pcap
 
 DAY = "2025-08-01"
 DAY_US = day_bounds_us(DAY)[0]
@@ -372,3 +386,114 @@ def test_csv_outputs_byte_identical(tmp_path):
     analysis.write_portcdf_csv(p1, dist)
     analysis.write_portcdf_csv(p2, port_cdf(list(reversed(packets))))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- streaming trace path against decode + bucket_by_day + aggregate_flows --
+
+ADDRS = ["198.51.100.1", "198.51.100.2", "10.9.0.1", "0.0.0.0", "255.255.255.255"]
+
+# frame kinds the sensor's capture keeps, and kinds every decoder must skip
+VALID_KINDS = ["tcp", "udp", "icmp", "gre", "fragment", "padded"]
+INVALID_KINDS = [
+    "not_ipv4", "truncated_ipv4", "truncated_tcp", "truncated_udp",
+    "bad_ihl", "bad_total_length", "bad_udp_length",
+]
+
+
+def _frame(kind, src, dst, sport, dport, flags, payload, ethernet):
+    """An IPv4 packet (framed for the link type) shaped as kind describes."""
+    if kind in ("tcp", "padded", "truncated_tcp"):
+        ip = bytearray(build_tcp(src, dst, sport, dport, 1, 0, flags, payload))
+    elif kind in ("udp", "bad_udp_length", "truncated_udp"):
+        ip = bytearray(build_udp(src, dst, sport, dport, payload))
+    elif kind == "icmp":
+        ip = bytearray(build_icmp(src, dst, 8, 0, payload))
+    else:
+        ip = bytearray(build_ipv4(47, src, dst, payload))  # GRE: no ports
+    if kind == "padded":
+        ip += b"\x00" * 6  # link-layer padding past the IPv4 total length
+    elif kind == "fragment":
+        # a non-first fragment of a TCP segment: no transport header to read
+        ip = bytearray(build_ipv4(PROTO_TCP, src, dst, payload[:7]))
+        ip[6:8] = struct.pack(">H", 0x2000 | 185)
+    elif kind == "truncated_ipv4":
+        ip = ip[:19]
+    elif kind in ("truncated_tcp", "truncated_udp"):
+        cut = 20 + (19 if kind == "truncated_tcp" else 7)
+        ip = ip[:cut]
+        ip[2:4] = struct.pack(">H", cut)
+    elif kind == "bad_ihl":
+        ip[0] = 0x44
+    elif kind == "bad_total_length":
+        ip[2:4] = struct.pack(">H", len(ip) + 1)
+    elif kind == "bad_udp_length":
+        ip[24:26] = struct.pack(">H", len(ip) - 20 + 1)
+    if kind == "not_ipv4":
+        if ethernet:
+            return b"\x02" * 12 + struct.pack(">H", ETHERTYPE_ARP) + bytes(ip)
+        ip[0] = 0x60
+    return wrap_ethernet(bytes(ip)) if ethernet else bytes(ip)
+
+
+frame_specs = st.tuples(
+    st.sampled_from(VALID_KINDS + INVALID_KINDS),
+    st.sampled_from(ADDRS),
+    st.sampled_from(ADDRS),
+    st.sampled_from([0, 22, 445]),
+    st.sampled_from([23, 80]),
+    st.integers(0, 255),
+    st.binary(max_size=40),
+    st.integers(1, 90 * 60 * 1_000_000),  # gap to the previous frame
+)
+
+
+def _write_trace(path, frames, ethernet, swapped):
+    """A pcap of (ts, raw) frames, in big- or little-endian byte order."""
+    order = "<" if swapped else ">"
+    link = LINK_ETHERNET if ethernet else LINK_RAW_IPV4
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(order + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, link))
+        for ts, raw in frames:
+            fh.write(struct.pack(order + "IIII", ts // 1_000_000, ts % 1_000_000, len(raw), len(raw)))
+            fh.write(raw)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    files=st.lists(
+        st.tuples(st.booleans(), st.booleans(), st.lists(frame_specs, min_size=1, max_size=25)),
+        min_size=1, max_size=3,
+    ),
+    start=st.integers(0, 30 * 60 * 1_000_000),
+)
+def test_streaming_flows_match_record_oracle(files, start):
+    """trace_packets + build_flows equals decode + bucket_by_day + aggregate_flows,
+    and both skip exactly the frames built to be invalid."""
+    ts = DAY_US + 86_400_000_000 - start  # up to 30 minutes before a UTC midnight
+    paths, stamps, invalid = [], [], set()
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (ethernet, swapped, specs) in enumerate(files):
+            frames = []
+            for kind, src, dst, sport, dport, flags, payload, gap in specs:
+                ts += gap  # unique stamps identify frames
+                frames.append((ts, _frame(kind, src, dst, sport, dport, flags, payload, ethernet)))
+                stamps.append(ts)
+                if kind in INVALID_KINDS:
+                    invalid.add(ts)
+            paths.append(Path(tmp) / f"{n}.pcap")
+            _write_trace(paths[-1], frames, ethernet, swapped)
+
+        records, skipped = [], set()
+        for path in paths:
+            for frame_ts, raw, link_type in read_pcap(path):
+                try:
+                    records.append(decode(raw, link_type, ts=frame_ts))
+                except DecodeError:
+                    skipped.add(frame_ts)
+        oracle = []
+        for day, day_packets in sorted(bucket_by_day(records).items()):
+            oracle.extend(aggregate_flows(day_packets, day))
+
+        streamed = list(analysis.trace_packets(paths))
+        assert analysis.build_flows(streamed) == oracle
+        assert set(stamps) - {row[0] for row in streamed} == skipped == invalid

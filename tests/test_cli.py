@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -281,3 +282,15 @@ def test_sync_cli_roundtrip(sim_out, tmp_path):
                 "--retention-hours", "99999", "--json").stdout
     )
     assert again["uploaded"] == 0 and again["skipped"] == 2
+
+
+def test_analyze_reads_a_lake(sim_out, tmp_path):
+    local, lake = tmp_path / "local", tmp_path / "lake"
+    shutil.copytree(sim_out / "traces", local)
+    run_cli("sync", "run", "--local", str(local), "--lake", str(lake), "--retention-hours", "99999")
+    assert not list(lake.rglob("*.pcap.meta.json"))  # lake layout: HH.pcap, HH.meta.json
+    from_lake, from_local = tmp_path / "lake.csv", tmp_path / "local.csv"
+    run_cli("analyze", "flows", "--in", str(lake), "--out", str(from_lake))
+    run_cli("analyze", "flows", "--in", str(sim_out / "traces"), "--out", str(from_local))
+    assert len(from_local.read_text().splitlines()) > 1
+    assert from_lake.read_bytes() == from_local.read_bytes()

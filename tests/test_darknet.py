@@ -49,6 +49,17 @@ class TestConfig:
             attach(DarknetConfig(ranges=(RANGE24,)), source="/no/such/file.pcap")
 
 
+def test_address_range_identity_is_base_and_prefix():
+    a, b = AddressRange("10.9.0.0", 24), AddressRange.parse("10.9.0.0/24")
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert repr(a) == "AddressRange(base='10.9.0.0', prefix_len=24)"
+    ranges = [AddressRange("9.0.0.0", 8), AddressRange("10.9.0.0", 16), AddressRange("10.10.0.0", 16), a]
+    # ordering stays lexicographic on (base, prefix_len), not numeric
+    assert sorted(ranges) == sorted(ranges, key=lambda r: (r.base, r.prefix_len))
+    assert (a.base_int, a.mask, a.last_int) == (0x0A090000, 0xFFFFFF00, 0x0A0900FF)
+    assert a.contains("10.9.0.255") and not a.contains("10.9.1.0")
+
+
 class TestModes:
     def test_direct_captures_in_range(self):
         handle = attach(DarknetConfig(ranges=(RANGE24,)))
