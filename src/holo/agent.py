@@ -208,8 +208,7 @@ class AgentIdentity:
             "static_public": self.static_public.hex(),
             "tunnel": self.tunnel.to_doc(),
         }
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2))
-        path.chmod(0o600)
+        cp.write_secret(path, json.dumps(doc, sort_keys=True, indent=2))
 
     @classmethod
     def load(cls, path: Path) -> "AgentIdentity":

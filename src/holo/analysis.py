@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from . import pcapio
-from .net import AddressRange, int_to_ip, ip_to_int
+from .net import AddressRange, int_to_ip
 from .packets import (
     PROTO_TCP,
     TCP_ACK,
@@ -124,13 +124,12 @@ def aggregate_flows(packets: Iterable[PacketRecord], day: str) -> list[FlowRecor
     over the same stream serialize identically.
     """
     lo, hi = day_bounds_us(day)
-    to_int = cache(ip_to_int)
 
     def rows():
         for pkt in packets:
             if not lo <= pkt.ts < hi:
                 raise AnalysisError(f"packet at {pkt.ts} outside day {day}")
-            yield (pkt.ts, to_int(pkt.src_ip), to_int(pkt.dst_ip), pkt.proto, pkt.src_port,
+            yield (pkt.ts, pkt.src_ip, pkt.dst_ip, pkt.proto, pkt.src_port,
                    pkt.dst_port, pkt.tcp_flags, pkt.payload_len)
 
     return build_flows(rows())
@@ -159,8 +158,9 @@ def flows_per_ip_series(
     if subnet.prefix_len != 24:
         raise AnalysisError("flow series are compared per /24 sensor unit")
     per_day: dict[str, dict[str, int]] = {day: {} for day in days}
+    members = set(subnet.addresses())  # dotted, as flow keys carry them
     for rec in flows:
-        if rec.day in per_day and subnet.contains(rec.key.dst_ip):
+        if rec.day in per_day and rec.key.dst_ip in members:
             counts = per_day[rec.day]
             counts[rec.key.dst_ip] = counts.get(rec.key.dst_ip, 0) + 1
     out = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import secrets
 import threading
 import time
@@ -330,6 +331,14 @@ class TunnelConfig:
         return asdict(self)
 
 
+def write_secret(path: Path, text: str) -> None:
+    """Write a private file that is mode 0600 from its first byte on."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "w") as fh:
+        os.fchmod(fd, 0o600)  # an existing file keeps its mode through O_CREAT
+        fh.write(text)
+
+
 class Controller:
     """All control-plane state behind one lock; clock injectable."""
 
@@ -377,8 +386,7 @@ class Controller:
 
             return priv, pub.public_bytes(Encoding.Raw, PublicFormat.Raw)
         priv, pub = overlay.generate_keypair()
-        key_path.write_text(priv.hex())
-        key_path.chmod(0o600)
+        write_secret(key_path, priv.hex())
         return priv, pub
 
     def _record(self, event: dict) -> None:
@@ -463,16 +471,21 @@ class Controller:
             self._load_state_doc(doc["state"])
         self._seq = since
         if log_path.exists():
-            with open(log_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    doc = json.loads(line)
-                    if doc["seq"] <= since:
-                        continue
-                    self._apply(doc["event"])
-                    self._seq = doc["seq"]
+            data = log_path.read_bytes()
+            # a crash mid-append leaves a torn last line: replay up to the
+            # last newline and cut the rest, so the next append starts clean
+            complete = data.rfind(b"\n") + 1
+            for line in data[:complete].splitlines():
+                if not line.strip():
+                    continue
+                doc = json.loads(line)
+                if doc["seq"] <= since:
+                    continue
+                self._apply(doc["event"])
+                self._seq = doc["seq"]
+            if complete < len(data):
+                with open(log_path, "r+b") as fh:
+                    fh.truncate(complete)
         now = self.clock()
         for sensor_id in self.sensors:
             self.reported.setdefault(sensor_id, SensorReport(last_heartbeat=now))

@@ -72,19 +72,19 @@ def config_from_doc(params: dict) -> DarknetConfig:
 @dataclass(frozen=True)
 class ArpQuery:
     ts: int
-    src_ip: str
-    target_ip: str
+    src_ip: str  # the querying host; only keys the per-source reply limit
+    target_ip: int
 
 
 @dataclass(frozen=True)
 class ArpReply:
-    target_ip: str
+    target_ip: int
     mac: bytes
 
 
 @dataclass
 class ArpState:
-    claimed: set = field(default_factory=set)
+    claimed: set = field(default_factory=set)  # int addresses
     windows: dict = field(default_factory=dict)  # src -> [window_start, count]
 
 
@@ -96,7 +96,7 @@ def arp_respond(query: ArpQuery, config: DarknetConfig, state: ArpState, now: fl
     """
     if config.mode != MODE_ARP:
         raise InvalidConfig("arp_respond requires ArpResponder mode")
-    if not any_contains(config.ranges, ip_to_int(query.target_ip)):
+    if not any_contains(config.ranges, query.target_ip):
         return None
     window = state.windows.setdefault(query.src_ip, [now, 0])
     if now - window[0] >= 1.0:
@@ -156,7 +156,7 @@ class CaptureHandle:
         self.stats = CaptureStats()
 
     def accepts(self, record: PacketRecord) -> bool:
-        if not any_contains(self.config.ranges, ip_to_int(record.dst_ip)):
+        if not any_contains(self.config.ranges, record.dst_ip):
             return False
         if self.config.mode == MODE_ARP and record.dst_ip not in self.arp.claimed:
             return False

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 
@@ -20,11 +19,7 @@ def ip_to_int(ip: str) -> int:
 
 
 def int_to_ip(value: int) -> str:
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-def pack_ip(ip: str) -> bytes:
-    return struct.pack(">I", ip_to_int(ip))
+    return f"{(value >> 24) & 0xFF}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
 @dataclass(frozen=True, order=True)

@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .net import int_to_ip, ip_to_int, pack_ip
+from .net import int_to_ip, ip_to_int
 
 PROTO_ICMP = 1
 PROTO_TCP = 6
@@ -78,11 +78,11 @@ class FlowKey(NamedTuple):
 
 @dataclass(slots=True)
 class PacketRecord:
-    """One observed packet."""
+    """One observed packet; addresses are host-order ints."""
 
     ts: int  # microseconds since the Unix epoch
-    src_ip: str
-    dst_ip: str
+    src_ip: int
+    dst_ip: int
     proto: int
     src_port: int = 0
     dst_port: int = 0
@@ -92,83 +92,64 @@ class PacketRecord:
     capture_origin: str = ORIGIN_DARKNET
 
     def flow_key(self) -> FlowKey:
-        return FlowKey(self.src_ip, self.dst_ip, self.proto, self.src_port, self.dst_port)
+        """The 5-tuple with dotted quads, as flow tables key it."""
+        return FlowKey(
+            int_to_ip(self.src_ip), int_to_ip(self.dst_ip), self.proto, self.src_port, self.dst_port
+        )
 
     def flag_names(self) -> str:
         return "|".join(name for bit, name in FLAG_NAMES if self.tcp_flags & bit)
 
 
 def _checksum(data: bytes) -> int:
+    """RFC 1071 Internet checksum.
+
+    Since 2**16 == 1 (mod 0xFFFF), the folded ones'-complement sum of the
+    16-bit words is the data read as one big-endian integer, mod 0xFFFF;
+    the fold never yields 0 for nonzero data, so a 0 residue there is 0xFFFF.
+    """
     if len(data) % 2:
         data += b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
+    total = int.from_bytes(data, "big") % 0xFFFF or (0xFFFF if any(data) else 0)
     return ~total & 0xFFFF
 
 
-def build_ipv4(proto: int, src_ip: str, dst_ip: str, payload: bytes, ttl: int = 64) -> bytes:
+_IPV4_HEADER = struct.Struct(">BBHHHBBHII")
+_PSEUDO_HEADER = struct.Struct(">IIxBH")
+
+
+def build_ipv4(proto: int, src_ip: int, dst_ip: int, payload: bytes, ttl: int = 64) -> bytes:
     total_len = 20 + len(payload)
-    header = struct.pack(
-        ">BBHHHBBH4s4s",
-        0x45,
-        0,
-        total_len,
-        0,
-        0,
-        ttl,
-        proto,
-        0,
-        pack_ip(src_ip),
-        pack_ip(dst_ip),
-    )
+    header = _IPV4_HEADER.pack(0x45, 0, total_len, 0, 0, ttl, proto, 0, src_ip, dst_ip)
     checksum = _checksum(header)
-    header = header[:10] + struct.pack(">H", checksum) + header[12:]
-    return header + payload
+    return _IPV4_HEADER.pack(0x45, 0, total_len, 0, 0, ttl, proto, checksum, src_ip, dst_ip) + payload
 
 
-def _transport_checksum(src_ip: str, dst_ip: str, proto: int, segment: bytes) -> int:
-    pseudo = pack_ip(src_ip) + pack_ip(dst_ip) + struct.pack(">BBH", 0, proto, len(segment))
-    return _checksum(pseudo + segment)
+def _transport_checksum(src_ip: int, dst_ip: int, proto: int, segment: bytes) -> int:
+    return _checksum(_PSEUDO_HEADER.pack(src_ip, dst_ip, proto, len(segment)) + segment)
+
+
+_TCP_HEADER = struct.Struct(">HHIIBBHHH")
 
 
 def build_tcp(
-    src_ip: str,
-    dst_ip: str,
+    src_ip: int,
+    dst_ip: int,
     src_port: int,
     dst_port: int,
     seq: int,
     ack: int,
     flags: int,
     payload: bytes = b"",
-    window: int = 65535,
-    options: bytes = b"",
 ) -> bytes:
-    if len(options) % 4:
-        options += b"\x00" * (4 - len(options) % 4)
-    doff = 5 + len(options) // 4
-    header = struct.pack(
-        ">HHIIBBHHH",
-        src_port,
-        dst_port,
-        seq & 0xFFFFFFFF,
-        ack & 0xFFFFFFFF,
-        doff << 4,
-        flags,
-        window,
-        0,
-        0,
-    )
-    segment = header + options + payload
+    """A TCP/IPv4 packet with no options and a 65535-byte window."""
+    fields = (src_port, dst_port, seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, 5 << 4, flags, 65535)
+    segment = _TCP_HEADER.pack(*fields, 0, 0) + payload
     csum = _transport_checksum(src_ip, dst_ip, PROTO_TCP, segment)
-    segment = segment[:16] + struct.pack(">H", csum) + segment[18:]
-    return build_ipv4(PROTO_TCP, src_ip, dst_ip, segment)
+    return build_ipv4(PROTO_TCP, src_ip, dst_ip, _TCP_HEADER.pack(*fields, csum, 0) + payload)
 
 
-MSS_OPTION_1460 = struct.pack(">BBH", 2, 4, 1460)
-
-
-def build_udp(src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes = b"") -> bytes:
+def build_udp(src_ip: int, dst_ip: int, src_port: int, dst_port: int, payload: bytes = b"") -> bytes:
     length = 8 + len(payload)
     header = struct.pack(">HHHH", src_port, dst_port, length, 0)
     csum = _transport_checksum(src_ip, dst_ip, PROTO_UDP, header + payload)
@@ -176,7 +157,7 @@ def build_udp(src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: b
     return build_ipv4(PROTO_UDP, src_ip, dst_ip, header + payload)
 
 
-def build_icmp(src_ip: str, dst_ip: str, icmp_type: int, code: int = 0, payload: bytes = b"") -> bytes:
+def build_icmp(src_ip: int, dst_ip: int, icmp_type: int, code: int = 0, payload: bytes = b"") -> bytes:
     header = struct.pack(">BBHI", icmp_type, code, 0, 0)
     csum = _checksum(header + payload)
     header = struct.pack(">BBHI", icmp_type, code, csum, 0)
@@ -263,8 +244,8 @@ def decode(raw_bytes: bytes, link_type: int, ts: int = 0, capture_origin: str = 
     src, dst, proto, src_port, dst_port, tcp_flags, start, end = parse_headers(raw_bytes, link_type)
     return PacketRecord(
         ts=ts,
-        src_ip=int_to_ip(src),
-        dst_ip=int_to_ip(dst),
+        src_ip=src,
+        dst_ip=dst,
         proto=proto,
         src_port=src_port,
         dst_port=dst_port,

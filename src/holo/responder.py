@@ -15,22 +15,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import toolbox
-from .net import AddressRange, PortRange, any_contains, ip_to_int, ports_contain
+from .net import AddressRange, PortRange, any_contains, int_to_ip, ports_contain
 from .packets import (
-    MSS_OPTION_1460,
     ORIGIN_RESPONDER,
     PROTO_TCP,
     TCP_ACK,
     TCP_FIN,
     TCP_RST,
     TCP_SYN,
-    FlowKey,
     PacketRecord,
-    build_tcp,
 )
 
 DEFAULT_BACKEND = "l4"
-WINDOW = 65535
 
 # Priority bands when responder rules are merged into a sensor program.
 PRIO_STEER = 100
@@ -77,16 +73,14 @@ class ResponderConfig:
                         f"backend matches overlap: {a.backend_id} vs {b.backend_id}"
                     )
 
-    def exposes(self, dst_ip: str, dst_port: int) -> bool:
-        return any_contains(self.ip_ranges, ip_to_int(dst_ip)) and ports_contain(
-            self.port_set, dst_port
-        )
+    def exposes(self, dst_ip: int, dst_port: int) -> bool:
+        return any_contains(self.ip_ranges, dst_ip) and ports_contain(self.port_set, dst_port)
 
 
-def select_backend(cfg: ResponderConfig, dst_ip: str, dst_port: int) -> str:
+def select_backend(cfg: ResponderConfig, dst_ip: int, dst_port: int) -> str:
     """First-match lookup over the backend map; default backend otherwise."""
     for m in cfg.backend_map:
-        if m.ip_range.contains(dst_ip) and m.ports.contains(dst_port):
+        if m.ip_range.contains_int(dst_ip) and m.ports.contains(dst_port):
             return m.backend_id
     return DEFAULT_BACKEND
 
@@ -154,16 +148,13 @@ def steering_rules(cfg: ResponderConfig, limiter_id: str = "egress") -> list[too
     return rules
 
 
-def keyed_isn(seed: bytes, key: FlowKey) -> int:
-    """Deterministic per-flow initial sequence number (keyed 32-bit hash)."""
-    material = struct.pack(
-        ">IIBHH",
-        ip_to_int(key.src_ip),
-        ip_to_int(key.dst_ip),
-        key.proto,
-        key.src_port,
-        key.dst_port,
-    )
+def keyed_isn(seed: bytes, key: tuple) -> int:
+    """Deterministic per-flow initial sequence number (keyed 32-bit hash).
+
+    key is the (src, dst, proto, src_port, dst_port) 5-tuple, integer
+    addresses.
+    """
+    material = struct.pack(">IIBHH", *key)
     digest = hashlib.blake2s(material, key=seed[:32], digest_size=4).digest()
     return struct.unpack(">I", digest)[0]
 
@@ -179,13 +170,12 @@ class TcpSegment:
     record: PacketRecord
     seq: int
     ack: int
-    raw: bytes = b""
     payload: bytes = b""
 
 
 @dataclass
 class TcpConnState:
-    key: FlowKey
+    key: tuple  # (src, dst, proto, src_port, dst_port), integer addresses
     state: str
     our_isn: int
     peer_next_seq: int
@@ -196,11 +186,12 @@ class TcpConnState:
 
 
 def _connection_record(conn: TcpConnState, closed_at: float, final_state: str) -> dict:
+    src_ip, dst_ip, _, src_port, dst_port = conn.key
     return {
-        "src_ip": conn.key.src_ip,
-        "src_port": conn.key.src_port,
-        "dst_ip": conn.key.dst_ip,
-        "dst_port": conn.key.dst_port,
+        "src_ip": int_to_ip(src_ip),
+        "src_port": src_port,
+        "dst_ip": int_to_ip(dst_ip),
+        "dst_port": dst_port,
         "opened_at": conn.created_at,
         "closed_at": closed_at,
         "state": final_state,
@@ -215,14 +206,10 @@ class Responder:
 
     def __init__(self, cfg: ResponderConfig):
         self.cfg = cfg
-        self.table: dict[FlowKey, TcpConnState] = {}
+        self.table: dict[tuple, TcpConnState] = {}
 
-    def _reply(self, seg: TcpSegment, seq: int, ack: int, flags: int, options: bytes = b"") -> TcpSegment:
+    def _reply(self, seg: TcpSegment, seq: int, ack: int, flags: int) -> TcpSegment:
         r = seg.record
-        raw = build_tcp(
-            r.dst_ip, r.src_ip, r.dst_port, r.src_port, seq, ack, flags,
-            window=WINDOW, options=options,
-        )
         record = PacketRecord(
             ts=r.ts,
             src_ip=r.dst_ip,
@@ -233,7 +220,7 @@ class Responder:
             tcp_flags=flags,
             capture_origin=ORIGIN_RESPONDER,
         )
-        return TcpSegment(record, seq, ack, raw)
+        return TcpSegment(record, seq, ack)
 
     def _close(self, conn: TcpConnState, now: float, events: list) -> None:
         final = conn.state
@@ -258,7 +245,7 @@ class Responder:
         if r.proto != PROTO_TCP or not self.cfg.exposes(r.dst_ip, r.dst_port):
             return outbound, events
 
-        key = r.flow_key()
+        key = (r.src_ip, r.dst_ip, PROTO_TCP, r.src_port, r.dst_port)
         conn = self.table.get(key)
         flags = r.tcp_flags
 
@@ -271,9 +258,7 @@ class Responder:
             if conn is not None:
                 if conn.state == SYN_RECEIVED:
                     # retransmitted SYN: same deterministic SYN/ACK
-                    outbound.append(
-                        self._reply(seg, conn.our_isn, conn.peer_next_seq, TCP_SYN | TCP_ACK, MSS_OPTION_1460)
-                    )
+                    outbound.append(self._reply(seg, conn.our_isn, conn.peer_next_seq, TCP_SYN | TCP_ACK))
                 return outbound, events
             if len(self.table) >= self.cfg.max_connections:
                 self._evict_oldest(now, events)
@@ -288,7 +273,7 @@ class Responder:
                 last_activity=now,
             )
             self.table[key] = conn
-            outbound.append(self._reply(seg, isn, conn.peer_next_seq, TCP_SYN | TCP_ACK, MSS_OPTION_1460))
+            outbound.append(self._reply(seg, isn, conn.peer_next_seq, TCP_SYN | TCP_ACK))
             return outbound, events
 
         if conn is None:

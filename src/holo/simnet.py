@@ -229,7 +229,7 @@ class SensorPath:
                 self.counters.outbound_ratelimited += 1
                 return False
         self.counters.outbound_emitted += 1
-        if any_contains(self.darknet_config.ranges, ip_to_int(record.src_ip)):
+        if any_contains(self.darknet_config.ranges, record.src_ip):
             self.counters.darknet_src_leaks += 1
         if record.proto == PROTO_TCP and record.tcp_flags & TCP_RST:
             self.counters.rst_emitted += 1
@@ -288,7 +288,7 @@ class SensorPath:
 
         # darknet leg
         if self.sensor.mode == darknet_mod.MODE_ARP and not self.handle.accepts(record):
-            if any_contains(self.darknet_config.ranges, ip_to_int(record.dst_ip)):
+            if any_contains(self.darknet_config.ranges, record.dst_ip):
                 # border router ARPs for the unknown address; the packet
                 # itself is lost until the claim lands
                 query = darknet_mod.ArpQuery(record.ts, self.sensor.router_ip, record.dst_ip)
@@ -299,9 +299,7 @@ class SensorPath:
             reflex = self._reflex(record)
             if reflex is not None:
                 self._send(reflex, now)
-        elif self.responder is not None and any_contains(
-            self.responder.cfg.ip_ranges, ip_to_int(record.dst_ip)
-        ):
+        elif self.responder is not None and any_contains(self.responder.cfg.ip_ranges, record.dst_ip):
             # responder space, port not exposed: the kernel would answer;
             # the RST guard has to keep that silent
             reflex = self._reflex(record)
@@ -363,6 +361,9 @@ class _ScannerState:
         self.profile = profile
         self.emitted = 0
         self.seq = seq
+        # (dotted, int) per source address: ground truth keeps the dotted form
+        self.source = (profile.src_ip, ip_to_int(profile.src_ip))
+        self.victims = [(v, ip_to_int(v)) for v in profile.victims]
         if profile.total_packets:
             self.interval_us = config.duration * 1e6 / profile.total_packets
             self.limit = profile.total_packets
@@ -395,12 +396,12 @@ class _TargetSpace:
                     self.blocks.append((sensor.sensor_id, rng.base_int, rng.last_int))
         self.total = sum(hi - lo + 1 for _, lo, hi in self.blocks)
 
-    def address_at(self, index: int) -> tuple[str, str]:
+    def address_at(self, index: int) -> tuple[str, int]:
         index %= self.total
         for sensor_id, lo, hi in self.blocks:
             size = hi - lo + 1
             if index < size:
-                return sensor_id, int_to_ip(lo + index)
+                return sensor_id, lo + index
             index -= size
         raise AssertionError("index out of space")
 
@@ -457,14 +458,14 @@ def run(config: SimConfig, writers: Optional[dict] = None) -> SimReport:
             sensor_id, dst_ip = space.address_at(rng.randrange(space.total))
 
         if profile.kind == KIND_BACKSCATTER:
-            src_ip = profile.victims[rng.randrange(len(profile.victims))]
+            src_dotted, src_ip = state.victims[rng.randrange(len(state.victims))]
             src_port = _weighted_choice(rng, ports)
             dst_port = rng.randint(1024, 65535)
             flags = TCP_SYN | TCP_ACK
             proto = PROTO_TCP
             payload = b""
         else:
-            src_ip = profile.src_ip
+            src_dotted, src_ip = state.source
             dst_port = _weighted_choice(rng, ports)
             src_port = rng.randint(1024, 65535)
             if profile.proto == "udp":
@@ -497,11 +498,11 @@ def run(config: SimConfig, writers: Optional[dict] = None) -> SimReport:
 
         ground_truth.append(
             GroundTruth(
-                ts, sensor_id, src_ip, dst_ip, proto, src_port, dst_port,
+                ts, sensor_id, src_dotted, int_to_ip(dst_ip), proto, src_port, dst_port,
                 flags, len(payload), profile.name, expect,
             )
         )
-        sender_registry.setdefault(profile.name, set()).add(src_ip)
+        sender_registry.setdefault(profile.name, set()).add(src_dotted)
 
         state.emitted += 1
         nxt = state.next_ts(config)
@@ -530,7 +531,7 @@ def _expected_capture(path: SensorPath, record: PacketRecord) -> bool:
     requires the address to have been claimed by an earlier query, so the
     first packet toward a fresh address predicts False.
     """
-    if not any_contains(path.darknet_config.ranges, ip_to_int(record.dst_ip)):
+    if not any_contains(path.darknet_config.ranges, record.dst_ip):
         return False
     if path.sensor.mode == darknet_mod.MODE_ARP:
         return record.dst_ip in path.handle.arp.claimed
@@ -553,6 +554,7 @@ def scripted_client(
     Returns the transcript (both directions, in order). Raises Timeout if
     a step needs server state that never arrived.
     """
+    src, dst = ip_to_int(src_ip), ip_to_int(dst_ip)
     transcript: list[responder_mod.TcpSegment] = []
     seq = client_isn
     server_seq = None
@@ -562,8 +564,8 @@ def scripted_client(
         nonlocal ts
         record = PacketRecord(
             ts=ts,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
+            src_ip=src,
+            dst_ip=dst,
             proto=PROTO_TCP,
             src_port=src_port,
             dst_port=dst_port,
@@ -616,8 +618,8 @@ def dump_pcap(report: SimReport, path, sensor: Optional[str] = None) -> int:
             continue
         record = PacketRecord(
             ts=gt.ts,
-            src_ip=gt.src_ip,
-            dst_ip=gt.dst_ip,
+            src_ip=ip_to_int(gt.src_ip),
+            dst_ip=ip_to_int(gt.dst_ip),
             proto=gt.proto,
             src_port=gt.src_port,
             dst_port=gt.dst_port,

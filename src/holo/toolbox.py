@@ -8,11 +8,11 @@ text in custom chains so native chains are never touched.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .net import AddressRange, PortRange, ports_contain
+from .net import AddressRange, PortRange
 from .packets import FLAG_NAMES, PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketRecord
 
 
@@ -91,11 +91,42 @@ class SteeringRule:
     action: Action
 
 
+def _lower(rule: SteeringRule) -> tuple:
+    """One rule as (src mask, src value, dst mask, dst value, proto, src port
+    ranges, dst port ranges, flag mask, action); None and () match anything."""
+    m = rule.match
+    src, dst = m.src_range, m.dst_range
+    return (
+        0 if src is None else src.mask,
+        0 if src is None else src.base_int,
+        0 if dst is None else dst.mask,
+        0 if dst is None else dst.base_int,
+        m.proto,
+        tuple((r.lo, r.hi) for r in m.src_ports),
+        tuple((r.lo, r.hi) for r in m.dst_ports),
+        m.tcp_flag_mask,
+        rule.action,
+    )
+
+
 @dataclass(frozen=True)
 class RuleProgram:
+    """Priority-ordered rules plus, per direction, their lowered tuples.
+
+    `rules` is what emit_iptables renders; evaluate walks only `lowered`.
+    """
+
     rules: tuple[SteeringRule, ...]
     default_action: Action = field(default_factory=Accept)
     generation: int = 1
+    lowered: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "lowered",
+            {d: tuple(_lower(r) for r in self.rules if r.direction == d) for d in (IN, OUT)},
+        )
 
 
 def compile(rules, generation: int = 1) -> RuleProgram:
@@ -113,34 +144,32 @@ def compile(rules, generation: int = 1) -> RuleProgram:
     return RuleProgram(rules=ordered, generation=generation)
 
 
-def rule_matches(rule: SteeringRule, pkt: PacketRecord) -> bool:
-    m = rule.match
-    if m.proto is not None and pkt.proto != m.proto:
-        return False
-    if m.src_range is not None and not m.src_range.contains(pkt.src_ip):
-        return False
-    if m.dst_range is not None and not m.dst_range.contains(pkt.dst_ip):
-        return False
-    if m.src_ports or m.dst_ports:
-        if pkt.proto not in (PROTO_TCP, PROTO_UDP):
-            return False
-        if m.src_ports and not ports_contain(m.src_ports, pkt.src_port):
-            return False
-        if m.dst_ports and not ports_contain(m.dst_ports, pkt.dst_port):
-            return False
-    if m.tcp_flag_mask is not None:
-        if pkt.proto != PROTO_TCP:
-            return False
-        if (pkt.tcp_flags & m.tcp_flag_mask) != m.tcp_flag_mask:
-            return False
-    return True
+def _in_ports(ranges: tuple, port: int) -> bool:
+    for lo, hi in ranges:
+        if lo <= port <= hi:
+            return True
+    return False
 
 
 def evaluate(program: RuleProgram, pkt: PacketRecord, direction: str) -> Action:
     """Action of the first matching rule in priority order; pure."""
-    for rule in program.rules:
-        if rule.direction == direction and rule_matches(rule, pkt):
-            return rule.action
+    src, dst, proto = pkt.src_ip, pkt.dst_ip, pkt.proto
+    rules = program.lowered.get(direction, ())
+    for smask, sval, dmask, dval, rproto, sports, dports, flag_mask, action in rules:
+        if src & smask != sval or dst & dmask != dval:
+            continue
+        if rproto is not None and proto != rproto:
+            continue
+        if sports or dports:
+            if proto != PROTO_TCP and proto != PROTO_UDP:
+                continue
+            if sports and not _in_ports(sports, pkt.src_port):
+                continue
+            if dports and not _in_ports(dports, pkt.dst_port):
+                continue
+        if flag_mask is not None and (proto != PROTO_TCP or pkt.tcp_flags & flag_mask != flag_mask):
+            continue
+        return action
     return program.default_action
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from holo import analysis, collector, controlplane as cp, overlay, simnet, toolbox
 from holo.collector import HourlyWriter, LocalLake, SyncPolicy, bucket_start_us, list_sealed, sync
+from holo.net import int_to_ip, ip_to_int
 from holo.controlplane import (
     Action,
     Controller,
@@ -156,7 +157,7 @@ def test_criterion_04_responder_fidelity():
             src_ip=src_ip, src_port=src_port,
             start_ts=start + i * 2_000_000,
         )
-        server_segments = [t for t in transcript if t.record.src_ip == dst_ip]
+        server_segments = [t for t in transcript if int_to_ip(t.record.src_ip) == dst_ip]
         synacks += sum(
             1 for t in server_segments
             if t.record.tcp_flags == (TCP_SYN | TCP_ACK)
@@ -210,7 +211,7 @@ def test_criterion_06_rotation_partition(tmp_path):
     span = 3 * hour_us
     n = 1_000_000
     raw = b"\x45" + b"\x00" * 39
-    rec = PacketRecord(ts=0, src_ip="198.51.100.7", dst_ip="10.9.0.5", proto=PROTO_TCP,
+    rec = PacketRecord(ts=0, src_ip=ip_to_int("198.51.100.7"), dst_ip=ip_to_int("10.9.0.5"), proto=PROTO_TCP,
                        src_port=40000, dst_port=22, tcp_flags=TCP_SYN)
     # pin the first packet of each later hour to the exact boundary
     # timestamp so the floor rule is exercised at 11:00:00.000000 etc.
@@ -377,7 +378,7 @@ def test_criterion_09_sync_safety_under_crashes(tmp_path):
     def make_local(base):
         writer = HourlyWriter(base / "local", "s1")
         start = bucket_start_us("2025-08-01-00")
-        rec = PacketRecord(ts=0, src_ip="1.1.1.1", dst_ip="10.9.0.5", proto=PROTO_TCP,
+        rec = PacketRecord(ts=0, src_ip=ip_to_int("1.1.1.1"), dst_ip=ip_to_int("10.9.0.5"), proto=PROTO_TCP,
                            src_port=1, dst_port=22, tcp_flags=TCP_SYN)
         for h in range(3):
             for p in range(4):

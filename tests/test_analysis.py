@@ -26,7 +26,7 @@ from holo.analysis import (
     qualifying_senders,
     unique_senders,
 )
-from holo.net import AddressRange
+from holo.net import AddressRange, ip_to_int
 from holo.packets import (
     PROTO_ICMP,
     PROTO_TCP,
@@ -55,7 +55,7 @@ DAY_US = day_bounds_us(DAY)[0]
 
 def pkt(src="1.1.1.1", dst="10.9.0.1", proto=PROTO_TCP, sport=1000, dport=22,
         flags=TCP_SYN, ts_off=0, payload_len=0):
-    return PacketRecord(ts=DAY_US + ts_off, src_ip=src, dst_ip=dst, proto=proto,
+    return PacketRecord(ts=DAY_US + ts_off, src_ip=ip_to_int(src), dst_ip=ip_to_int(dst), proto=proto,
                         src_port=sport, dst_port=dport, tcp_flags=flags,
                         payload_len=payload_len)
 
@@ -403,18 +403,18 @@ INVALID_KINDS = [
 def _frame(kind, src, dst, sport, dport, flags, payload, ethernet):
     """An IPv4 packet (framed for the link type) shaped as kind describes."""
     if kind in ("tcp", "padded", "truncated_tcp"):
-        ip = bytearray(build_tcp(src, dst, sport, dport, 1, 0, flags, payload))
+        ip = bytearray(build_tcp(ip_to_int(src), ip_to_int(dst), sport, dport, 1, 0, flags, payload))
     elif kind in ("udp", "bad_udp_length", "truncated_udp"):
-        ip = bytearray(build_udp(src, dst, sport, dport, payload))
+        ip = bytearray(build_udp(ip_to_int(src), ip_to_int(dst), sport, dport, payload))
     elif kind == "icmp":
-        ip = bytearray(build_icmp(src, dst, 8, 0, payload))
+        ip = bytearray(build_icmp(ip_to_int(src), ip_to_int(dst), 8, 0, payload))
     else:
-        ip = bytearray(build_ipv4(47, src, dst, payload))  # GRE: no ports
+        ip = bytearray(build_ipv4(47, ip_to_int(src), ip_to_int(dst), payload))  # GRE: no ports
     if kind == "padded":
         ip += b"\x00" * 6  # link-layer padding past the IPv4 total length
     elif kind == "fragment":
         # a non-first fragment of a TCP segment: no transport header to read
-        ip = bytearray(build_ipv4(PROTO_TCP, src, dst, payload[:7]))
+        ip = bytearray(build_ipv4(PROTO_TCP, ip_to_int(src), ip_to_int(dst), payload[:7]))
         ip[6:8] = struct.pack(">H", 0x2000 | 185)
     elif kind == "truncated_ipv4":
         ip = ip[:19]

@@ -18,6 +18,7 @@ from holo.collector import (
     sync,
     trace_filename,
 )
+from holo.net import ip_to_int
 from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_SYN, PacketRecord
 from holo.pcapio import read_pcap
 
@@ -25,7 +26,7 @@ H10 = bucket_start_us("2025-08-01-10")
 
 
 def record(ts, dport=22):
-    return PacketRecord(ts=ts, src_ip="198.51.100.7", dst_ip="10.9.0.5", proto=PROTO_TCP,
+    return PacketRecord(ts=ts, src_ip=ip_to_int("198.51.100.7"), dst_ip=ip_to_int("10.9.0.5"), proto=PROTO_TCP,
                         src_port=40000, dst_port=dport, tcp_flags=TCP_SYN)
 
 
@@ -236,7 +237,7 @@ class TestSync:
     def test_redaction_truncates_payloads(self, tmp_path):
         local = tmp_path / "local"
         w = HourlyWriter(local, "s1")
-        big = PacketRecord(ts=H10, src_ip="1.1.1.1", dst_ip="10.9.0.5", proto=PROTO_TCP,
+        big = PacketRecord(ts=H10, src_ip=ip_to_int("1.1.1.1"), dst_ip=ip_to_int("10.9.0.5"), proto=PROTO_TCP,
                            src_port=1, dst_port=2, payload_len=200, payload_prefix=b"z" * 200)
         w.append(big)
         sealed = w.seal()

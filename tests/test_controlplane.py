@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import shutil
+import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -445,6 +450,73 @@ class TestPersistence:
         for i in range(12):
             assert any(name == f"mod{i}" for name, _ in c2.catalog)
         c2.close()
+
+    def test_torn_log_tail_at_every_byte_offset(self, tmp_path):
+        """A crash at any byte of the last append: restart keeps the complete lines."""
+        clock = FakeClock()
+        src = tmp_path / "src"
+        c = Controller(data_dir=src, clock=clock)
+        for i in range(3):
+            c.catalog_put(ADMIN, f"mod{i}", f"payload{i}".encode())
+            c.add_principal(ADMIN, Principal(f"op{i}", cp.ROLE_ORG, f"org{i}"))
+        c.close()
+        log = (src / "state.log").read_bytes()
+        key = (src / "hub.key").read_bytes()
+        assert not (src / "state.snapshot").exists() and log.count(b"\n") == 6
+
+        d = tmp_path / "restart"
+        for cut in range(len(log) + 1):
+            shutil.rmtree(d, ignore_errors=True)
+            d.mkdir()
+            (d / "hub.key").write_bytes(key)
+            (d / "state.log").write_bytes(log[:cut])
+            complete = log[: log.rfind(b"\n", 0, cut) + 1]
+            events = [json.loads(line)["event"] for line in complete.splitlines()]
+            want_catalog = {(e["name"], e["version"]) for e in events if e["op"] == "catalog_put"}
+            want_principals = {"admin"} | {
+                e["principal"]["name"] for e in events if e["op"] == "principal_added"
+            }
+
+            c = Controller(data_dir=d, clock=clock)
+            assert set(c.catalog) == want_catalog
+            assert set(c.principals) == want_principals
+            assert (d / "state.log").read_bytes() == complete
+            after = ("after", c.catalog_put(ADMIN, "after", b"restart"))
+            c.close()
+
+            c = Controller(data_dir=d, clock=clock)
+            assert set(c.catalog) == want_catalog | {after}
+            assert set(c.principals) == want_principals
+            c.close()
+
+
+def test_secret_files_are_0600_from_creation(tmp_path, monkeypatch):
+    """The hub key and the agent identity never exist with a wider mode."""
+    from holo.agent import AgentIdentity
+
+    # with chmod disabled, only the mode given at creation counts
+    monkeypatch.setattr(Path, "chmod", lambda self, mode: None)
+    monkeypatch.setattr(os, "chmod", lambda path, mode: None)
+    umask = os.umask(0o022)
+    try:
+        c = Controller(data_dir=tmp_path / "ctl", clock=FakeClock())
+        c.close()
+        assert stat.S_IMODE((tmp_path / "ctl" / "hub.key").stat().st_mode) == 0o600
+
+        identity = AgentIdentity("A1", b"\x01" * 32, b"\x02" * 32, cp.TunnelConfig("hub", "127.0.0.1:1", "00"))
+        fresh = tmp_path / "ident.json"
+        identity.save(fresh)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o600
+        assert AgentIdentity.load(fresh) == identity
+
+        # a file left world-readable by an older version is narrowed, too
+        old = tmp_path / "old-ident.json"
+        old.write_text("{}")
+        assert stat.S_IMODE(old.stat().st_mode) == 0o644
+        identity.save(old)
+        assert stat.S_IMODE(old.stat().st_mode) == 0o600
+    finally:
+        os.umask(umask)
 
 
 def test_capability_safety_randomized_sequences():

@@ -12,13 +12,13 @@ from holo.darknet import (
     attach,
     darknet_rules,
 )
-from holo.net import AddressRange
+from holo.net import AddressRange, int_to_ip, ip_to_int
 from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_SYN, PacketRecord, build_tcp
 from holo.pcapio import write_pcap
 
 
 def record(dst, src="198.51.100.7", ts=0, dport=22):
-    return PacketRecord(ts=ts, src_ip=src, dst_ip=dst, proto=PROTO_TCP,
+    return PacketRecord(ts=ts, src_ip=ip_to_int(src), dst_ip=ip_to_int(dst), proto=PROTO_TCP,
                         src_port=40000, dst_port=dport, tcp_flags=TCP_SYN)
 
 
@@ -65,13 +65,13 @@ class TestModes:
         handle = attach(DarknetConfig(ranges=(RANGE24,)))
         assert handle.offer(record("10.9.0.77"))
         assert not handle.offer(record("10.8.0.1"))
-        assert [r.dst_ip for r in handle.records] == ["10.9.0.77"]
+        assert [int_to_ip(r.dst_ip) for r in handle.records] == ["10.9.0.77"]
 
     def test_arp_mode_requires_prior_claim(self):
         config = DarknetConfig(ranges=(RANGE24,), mode=darknet.MODE_ARP)
         handle = attach(config)
         assert not handle.offer(record("10.9.0.5", ts=1))
-        reply = arp_respond(ArpQuery(2, "10.9.0.254", "10.9.0.5"), config, handle.arp, 0.0)
+        reply = arp_respond(ArpQuery(2, "10.9.0.254", ip_to_int("10.9.0.5")), config, handle.arp, 0.0)
         assert reply is not None and reply.mac == config.sensor_mac
         assert handle.offer(record("10.9.0.5", ts=3))
 
@@ -89,26 +89,26 @@ class TestModes:
         rows = []
         for i in range(20):
             dst = f"10.9.0.{i}" if i % 2 == 0 else f"10.8.0.{i}"
-            rows.append((1000 + i, build_tcp("198.51.100.7", dst, 40000, 22, 5, 0, TCP_SYN)))
+            rows.append((1000 + i, build_tcp(ip_to_int("198.51.100.7"), ip_to_int(dst), 40000, 22, 5, 0, TCP_SYN)))
         path = tmp_path / "replay.pcap"
         write_pcap(path, rows, link_type=LINK_RAW_IPV4)
         handle = attach(DarknetConfig(ranges=(RANGE24,)), source=str(path))
         assert handle.stats.captured == 10
-        assert all(r.dst_ip.startswith("10.9.0.") for r in handle.records)
+        assert all(int_to_ip(r.dst_ip).startswith("10.9.0.") for r in handle.records)
 
 
 class TestArpResponder:
     def test_out_of_range_query_ignored(self):
         config = DarknetConfig(ranges=(RANGE24,), mode=darknet.MODE_ARP)
         state = ArpState()
-        assert arp_respond(ArpQuery(0, "r", "192.0.2.1"), config, state, 0.0) is None
+        assert arp_respond(ArpQuery(0, "r", ip_to_int("192.0.2.1")), config, state, 0.0) is None
 
     def test_reply_claims_address(self):
         config = DarknetConfig(ranges=(RANGE24,), mode=darknet.MODE_ARP)
         state = ArpState()
-        reply = arp_respond(ArpQuery(0, "r", "10.9.0.200"), config, state, 0.0)
-        assert reply.target_ip == "10.9.0.200"
-        assert "10.9.0.200" in state.claimed
+        reply = arp_respond(ArpQuery(0, "r", ip_to_int("10.9.0.200")), config, state, 0.0)
+        assert reply.target_ip == ip_to_int("10.9.0.200")
+        assert ip_to_int("10.9.0.200") in state.claimed
 
     def test_rate_limited_to_ten_per_second_per_source(self):
         config = DarknetConfig(ranges=(RANGE24,), mode=darknet.MODE_ARP)
@@ -116,7 +116,7 @@ class TestArpResponder:
         replies = 0
         for i in range(100):
             now = i / 100.0  # all within one second
-            if arp_respond(ArpQuery(0, "router-1", "10.9.0.9"), config, state, now) is not None:
+            if arp_respond(ArpQuery(0, "router-1", ip_to_int("10.9.0.9")), config, state, now) is not None:
                 replies += 1
         assert replies <= 10
 
@@ -126,7 +126,7 @@ class TestArpResponder:
         got = sum(
             1
             for i in range(40)
-            if arp_respond(ArpQuery(0, f"router-{i % 4}", "10.9.0.9"), config, state, 0.0)
+            if arp_respond(ArpQuery(0, f"router-{i % 4}", ip_to_int("10.9.0.9")), config, state, 0.0)
             is not None
         )
         assert got == 40  # 4 sources, 10 each
@@ -134,7 +134,7 @@ class TestArpResponder:
     def test_wrong_mode_raises(self):
         config = DarknetConfig(ranges=(RANGE24,))
         with pytest.raises(InvalidConfig):
-            arp_respond(ArpQuery(0, "r", "10.9.0.1"), config, ArpState(), 0.0)
+            arp_respond(ArpQuery(0, "r", ip_to_int("10.9.0.1")), config, ArpState(), 0.0)
 
 
 class TestRules:
@@ -162,7 +162,7 @@ class TestRules:
         program = toolbox.compile(darknet_rules(DarknetConfig(ranges=ranges)))
         for last in range(16):
             addr = f"10.9.0.{last}"
-            outbound = PacketRecord(ts=0, src_ip=addr, dst_ip="198.51.100.7",
+            outbound = PacketRecord(ts=0, src_ip=ip_to_int(addr), dst_ip=ip_to_int("198.51.100.7"),
                                     proto=PROTO_TCP, src_port=22, dst_port=40000)
             oracle_drop = any(r.contains(addr) for r in ranges)
             action = toolbox.evaluate(program, outbound, toolbox.OUT)
@@ -185,7 +185,7 @@ def test_capture_stats_and_decode_errors():
     handle = CaptureHandle(DarknetConfig(ranges=(RANGE24,)))
     assert handle.offer_raw(1, b"junk", LINK_RAW_IPV4) is None
     assert handle.stats.decode_errors == 1
-    raw = build_tcp("198.51.100.7", "10.9.0.3", 40000, 22, 5, 0, TCP_SYN)
+    raw = build_tcp(ip_to_int("198.51.100.7"), ip_to_int("10.9.0.3"), 40000, 22, 5, 0, TCP_SYN)
     rec = handle.offer_raw(2, raw, LINK_RAW_IPV4)
     assert rec is not None and rec.ts == 2
     assert handle.stats.captured == 1

@@ -9,6 +9,7 @@ from holo import collector, controlplane as cp, overlay
 from holo.agent import AgentCore, AgentProcess, OverlayLakeClient, onboard
 from holo.collector import HourlyWriter, SyncPolicy, bucket_start_us, sync
 from holo.hub import HubServer, admin_request
+from holo.net import ip_to_int
 from holo.packets import PROTO_TCP, TCP_SYN, PacketRecord
 
 ADMIN = "admin"
@@ -94,7 +95,7 @@ def test_trace_sync_over_overlay_channel(hub, tmp_path):
         for h in range(2):
             for p in range(5):
                 writer.append(PacketRecord(
-                    ts=base + h * 3_600_000_000 + p, src_ip="1.1.1.1", dst_ip="10.9.1.5",
+                    ts=base + h * 3_600_000_000 + p, src_ip=ip_to_int("1.1.1.1"), dst_ip=ip_to_int("10.9.1.5"),
                     proto=PROTO_TCP, src_port=1, dst_port=22, tcp_flags=TCP_SYN,
                 ))
         sealed = writer.seal()
@@ -175,11 +176,11 @@ def test_merged_program_carves_responder_space_out_of_darknet():
                       target_ids=["A1"]),
     ]
     program, limiters = build_sensor_program(specs)
-    synack = PacketRecord(ts=0, src_ip="10.9.1.241", dst_ip="203.0.113.5", proto=PROTO_TCP,
+    synack = PacketRecord(ts=0, src_ip=ip_to_int("10.9.1.241"), dst_ip=ip_to_int("203.0.113.5"), proto=PROTO_TCP,
                           src_port=80, dst_port=41000, tcp_flags=TCP_SYN | TCP_ACK)
     action = toolbox.evaluate(program, synack, toolbox.OUT)
     assert action.kind == toolbox.ACT_RATELIMIT  # not dropped
-    dark = PacketRecord(ts=0, src_ip="10.9.1.7", dst_ip="203.0.113.5", proto=PROTO_TCP,
+    dark = PacketRecord(ts=0, src_ip=ip_to_int("10.9.1.7"), dst_ip=ip_to_int("203.0.113.5"), proto=PROTO_TCP,
                         src_port=22, dst_port=41000, tcp_flags=TCP_SYN | TCP_ACK)
     assert toolbox.evaluate(program, dark, toolbox.OUT).kind == toolbox.ACT_DROP
     assert limiters["egress"] == (100.0, 100.0)

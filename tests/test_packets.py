@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holo import packets
+from holo.net import int_to_ip, ip_to_int
 from holo.packets import (
     LINK_ETHERNET,
     LINK_RAW_IPV4,
@@ -25,11 +26,11 @@ from holo.packets import (
 
 
 def test_minimal_tcp_syn_frame():
-    raw = build_tcp("1.2.3.4", "10.9.0.5", 40000, 22, 1000, 0, TCP_SYN)
+    raw = build_tcp(ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), 40000, 22, 1000, 0, TCP_SYN)
     assert len(raw) == 40  # 20 IP + 20 TCP, no payload
     rec = decode(raw, LINK_RAW_IPV4, ts=123)
     assert rec.ts == 123
-    assert (rec.src_ip, rec.dst_ip) == ("1.2.3.4", "10.9.0.5")
+    assert (int_to_ip(rec.src_ip), int_to_ip(rec.dst_ip)) == ("1.2.3.4", "10.9.0.5")
     assert (rec.src_port, rec.dst_port) == (40000, 22)
     assert rec.tcp_flags == TCP_SYN
     assert rec.payload_len == 0
@@ -37,7 +38,7 @@ def test_minimal_tcp_syn_frame():
 
 
 def test_bad_ihl_rejected():
-    raw = bytearray(build_tcp("1.2.3.4", "10.9.0.5", 1, 2, 0, 0, TCP_SYN))
+    raw = bytearray(build_tcp(ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), 1, 2, 0, 0, TCP_SYN))
     raw[0] = 0x4F  # ihl = 60 bytes > frame
     with pytest.raises(DecodeError):
         decode(bytes(raw[:30]), LINK_RAW_IPV4)
@@ -45,7 +46,7 @@ def test_bad_ihl_rejected():
 
 def test_udp_300_byte_payload_against_offset_oracle():
     payload = bytes(i % 251 for i in range(300))
-    raw = build_udp("192.0.2.1", "10.9.0.9", 5353, 9999, payload)
+    raw = build_udp(ip_to_int("192.0.2.1"), ip_to_int("10.9.0.9"), 5353, 9999, payload)
     rec = decode(raw, LINK_RAW_IPV4)
 
     # independent header-offset calculator
@@ -59,7 +60,7 @@ def test_udp_300_byte_payload_against_offset_oracle():
 
 
 def test_ethernet_wrapping():
-    ip_packet = build_tcp("1.2.3.4", "10.9.0.5", 40000, 23, 7, 0, TCP_SYN)
+    ip_packet = build_tcp(ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), 40000, 23, 7, 0, TCP_SYN)
     frame = wrap_ethernet(ip_packet)
     rec = decode(frame, LINK_ETHERNET)
     assert rec.dst_port == 23
@@ -76,7 +77,7 @@ def test_garbage_and_truncation_rejected():
         decode(b"", LINK_RAW_IPV4)
     with pytest.raises(DecodeError):
         decode(b"\x60" + b"\x00" * 30, LINK_RAW_IPV4)  # IPv6 version nibble
-    good = build_udp("1.1.1.1", "2.2.2.2", 1, 2, b"hi")
+    good = build_udp(ip_to_int("1.1.1.1"), ip_to_int("2.2.2.2"), 1, 2, b"hi")
     for cut in (5, 19, 21, 25):
         with pytest.raises(DecodeError):
             decode(good[:cut], LINK_RAW_IPV4)
@@ -86,7 +87,7 @@ def test_garbage_and_truncation_rejected():
 
 def test_fragment_recorded_portless():
     # non-first fragment: offset 100, no transport header to parse
-    raw = bytearray(build_ipv4(PROTO_TCP, "1.2.3.4", "10.9.0.5", b"\xaa" * 32))
+    raw = bytearray(build_ipv4(PROTO_TCP, ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), b"\xaa" * 32))
     struct.pack_into(">H", raw, 6, 100)
     rec = decode(bytes(raw), LINK_RAW_IPV4)
     assert rec.proto == PROTO_TCP
@@ -95,7 +96,7 @@ def test_fragment_recorded_portless():
 
 
 def test_icmp_payload_after_header():
-    raw = build_icmp("1.2.3.4", "10.9.0.5", 8, 0, b"ping-data")
+    raw = build_icmp(ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), 8, 0, b"ping-data")
     rec = decode(raw, LINK_RAW_IPV4)
     assert rec.proto == PROTO_ICMP
     assert rec.payload_len == len(b"ping-data")
@@ -103,12 +104,23 @@ def test_icmp_payload_after_header():
 
 
 def test_ip_checksum_valid():
-    raw = build_tcp("1.2.3.4", "10.9.0.5", 1, 2, 3, 4, TCP_SYN)
+    raw = build_tcp(ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), 1, 2, 3, 4, TCP_SYN)
     header = raw[:20]
     total = sum(struct.unpack(">10H", header))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     assert total == 0xFFFF  # ones-complement sum over a valid header
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=1500), st.lists(st.sampled_from([b"\x00", b"\xff"]), max_size=64).map(b"".join)))
+def test_checksum_matches_word_folding(data):
+    """The checksum equals the RFC 1071 loop: sum 16-bit words, fold carries, invert."""
+    padded = data + b"\x00" * (len(data) % 2)
+    total = sum(struct.unpack(f">{len(padded) // 2}H", padded))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    assert packets._checksum(data) == ~total & 0xFFFF
 
 
 ip_octet = st.integers(0, 255)
@@ -130,8 +142,8 @@ def test_decode_encode_identity(src, dst, proto, sport, dport, flags, payload, t
     """decode(encode(record)) == record for records the generators emit."""
     record = PacketRecord(
         ts=ts,
-        src_ip=src,
-        dst_ip=dst,
+        src_ip=ip_to_int(src),
+        dst_ip=ip_to_int(dst),
         proto=proto,
         src_port=sport if proto in (PROTO_TCP, PROTO_UDP) else 0,
         dst_port=dport if proto in (PROTO_TCP, PROTO_UDP) else 0,

@@ -1,6 +1,6 @@
 import pytest
 
-from holo.net import AddressRange, PortRange
+from holo.net import AddressRange, PortRange, int_to_ip, ip_to_int
 from holo.packets import (
     PROTO_TCP,
     TCP_ACK,
@@ -33,7 +33,7 @@ CFG = ResponderConfig(
 
 def seg(flags, seq=1000, ack=0, payload=b"", src="203.0.113.9", sport=41000, dst="10.9.0.1", dport=80, ts=0):
     record = PacketRecord(
-        ts=ts, src_ip=src, dst_ip=dst, proto=PROTO_TCP,
+        ts=ts, src_ip=ip_to_int(src), dst_ip=ip_to_int(dst), proto=PROTO_TCP,
         src_port=sport, dst_port=dport, tcp_flags=flags,
         payload_len=len(payload), payload_prefix=payload[:256],
     )
@@ -58,7 +58,7 @@ class TestHandshake:
         synack = out[0]
         assert synack.record.tcp_flags == TCP_SYN | TCP_ACK
         assert synack.ack == 1001
-        assert synack.record.src_ip == "10.9.0.1" and synack.record.dst_port == 41000
+        assert int_to_ip(synack.record.src_ip) == "10.9.0.1" and synack.record.dst_port == 41000
 
     def test_ack_completes_handshake(self):
         responder = Responder(CFG)
@@ -202,17 +202,17 @@ class TestBackends:
     )
 
     def test_first_match(self):
-        assert select_backend(self.MAP, "10.9.0.3", 179) == "bgp-sim"
+        assert select_backend(self.MAP, ip_to_int("10.9.0.3"), 179) == "bgp-sim"
 
     def test_default_when_empty(self):
-        assert select_backend(CFG, "10.9.0.3", 179) == "l4"
+        assert select_backend(CFG, ip_to_int("10.9.0.3"), 179) == "l4"
 
     def test_exhaustive_slash25_membership(self):
         # oracle: addresses .0-.127 match the /25, .128-.255 fall through
         for last in range(256):
             ip = f"10.9.0.{last}"
             expect = "bgp-sim" if last < 128 else "l4"
-            assert select_backend(self.MAP, ip, 179) == expect
+            assert select_backend(self.MAP, ip_to_int(ip), 179) == expect
 
     def test_overlapping_backend_matches_rejected(self):
         with pytest.raises(ResponderError):
@@ -262,7 +262,7 @@ class TestExpire:
 
 class TestIsn:
     def test_deterministic(self):
-        key = FlowKey("1.2.3.4", "10.9.0.1", PROTO_TCP, 41000, 80)
+        key = FlowKey(ip_to_int("1.2.3.4"), ip_to_int("10.9.0.1"), PROTO_TCP, 41000, 80)
         seed = bytes(range(32))
         assert keyed_isn(seed, key) == keyed_isn(seed, key)
         assert keyed_isn(seed, key) != keyed_isn(b"\x01" * 32, key)
@@ -272,7 +272,7 @@ class TestIsn:
         # near 2^31 (tolerance 2% of the range)
         seed = bytes(range(32))
         values = [
-            keyed_isn(seed, FlowKey(f"1.2.{i >> 8}.{i & 255}", "10.9.0.1", PROTO_TCP, 41000, 80))
+            keyed_isn(seed, FlowKey(ip_to_int(f"1.2.{i >> 8}.{i & 255}"), ip_to_int("10.9.0.1"), PROTO_TCP, 41000, 80))
             for i in range(10_000)
         ]
         assert len(set(values)) >= 9_998

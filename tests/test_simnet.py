@@ -5,7 +5,7 @@ import yaml
 
 from holo import analysis, simnet
 from holo.analysis import classify_backscatter
-from holo.net import AddressRange
+from holo.net import AddressRange, int_to_ip
 from holo.packets import PROTO_TCP, TCP_ACK, TCP_SYN, FlowKey
 from holo.simnet import (
     ConfigInvalid,
@@ -92,7 +92,7 @@ class TestGroundTruth:
                 for gt in report.ground_truth if gt.sensor == sensor
             )
             captured = Counter(
-                (r.ts, r.src_ip, r.dst_ip, r.src_port, r.dst_port)
+                (r.ts, int_to_ip(r.src_ip), int_to_ip(r.dst_ip), r.src_port, r.dst_port)
                 for r in report.paths[sensor].captured
             )
             assert not captured - generated  # capture ⊆ generated
@@ -183,7 +183,7 @@ class TestGroundTruth:
                 assert not gt.expect_capture
                 first_seen.add(gt.dst_ip)
         captured = Counter((g.ts, g.dst_ip) for g in gts if g.expect_capture)
-        actual = Counter((r.ts, r.dst_ip) for r in path.captured)
+        actual = Counter((r.ts, int_to_ip(r.dst_ip)) for r in path.captured)
         assert actual == captured
 
 
@@ -198,7 +198,7 @@ class TestScriptedClient:
     def test_syn_gets_synack(self):
         path = self._responder_path()
         transcript = scripted_client(path, "10.9.2.241", 80, [("syn",)])
-        server = [t for t in transcript if t.record.src_ip == "10.9.2.241"]
+        server = [t for t in transcript if int_to_ip(t.record.src_ip) == "10.9.2.241"]
         assert len(server) == 1
         assert server[0].record.tcp_flags == TCP_SYN | TCP_ACK
 
@@ -214,7 +214,7 @@ class TestScriptedClient:
     def test_non_exposed_port_silent(self):
         path = self._responder_path()
         transcript = scripted_client(path, "10.9.2.241", 4444, [("syn",)])
-        server = [t for t in transcript if t.record.src_ip == "10.9.2.241"]
+        server = [t for t in transcript if int_to_ip(t.record.src_ip) == "10.9.2.241"]
         assert server == []
 
     def test_timeout_when_no_synack(self):
@@ -251,6 +251,6 @@ def test_pcap_dump_roundtrips_through_decode(tmp_path):
     for (ts, raw, link), gt in zip(rows, gts):
         rec = decode(raw, link, ts=ts)
         assert rec.ts == gt.ts
-        assert (rec.src_ip, rec.dst_ip) == (gt.src_ip, gt.dst_ip)
+        assert (int_to_ip(rec.src_ip), int_to_ip(rec.dst_ip)) == (gt.src_ip, gt.dst_ip)
         assert (rec.src_port, rec.dst_port) == (gt.src_port, gt.dst_port)
         assert rec.tcp_flags == gt.tcp_flags

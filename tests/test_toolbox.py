@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holo import toolbox
-from holo.net import AddressRange, PortRange
+from holo.net import AddressRange, PortRange, int_to_ip, ip_to_int
 from holo.packets import (
     PROTO_ICMP,
     PROTO_TCP,
@@ -33,12 +33,11 @@ from holo.toolbox import (
     emit_iptables,
     evaluate,
     parse_iptables,
-    rule_matches,
 )
 
 
 def pkt(src="198.51.100.9", dst="10.9.0.5", proto=PROTO_TCP, sport=40000, dport=22, flags=TCP_SYN, ts=0):
-    return PacketRecord(ts=ts, src_ip=src, dst_ip=dst, proto=proto,
+    return PacketRecord(ts=ts, src_ip=ip_to_int(src), dst_ip=ip_to_int(dst), proto=proto,
                         src_port=sport, dst_port=dport, tcp_flags=flags)
 
 
@@ -142,6 +141,125 @@ def test_order_stability_property(rnd):
     for probe in probes:
         for direction in (toolbox.IN, toolbox.OUT):
             assert evaluate(program, probe, direction) == evaluate(baseline, probe, direction)
+
+
+# --- compiled evaluate against the first-match loop over Match objects ------
+
+
+def rule_matches(rule, pkt):
+    """Reference semantics of one rule, on the rule's own ranges and ports."""
+    m = rule.match
+    if m.proto is not None and pkt.proto != m.proto:
+        return False
+    if m.src_range is not None and not m.src_range.contains(int_to_ip(pkt.src_ip)):
+        return False
+    if m.dst_range is not None and not m.dst_range.contains(int_to_ip(pkt.dst_ip)):
+        return False
+    if m.src_ports or m.dst_ports:
+        if pkt.proto not in (PROTO_TCP, PROTO_UDP):
+            return False
+        if m.src_ports and not any(r.contains(pkt.src_port) for r in m.src_ports):
+            return False
+        if m.dst_ports and not any(r.contains(pkt.dst_port) for r in m.dst_ports):
+            return False
+    if m.tcp_flag_mask is not None:
+        if pkt.proto != PROTO_TCP:
+            return False
+        if (pkt.tcp_flags & m.tcp_flag_mask) != m.tcp_flag_mask:
+            return False
+    return True
+
+
+def reference_evaluate(program, pkt, direction):
+    for rule in program.rules:
+        if rule.direction == direction and rule_matches(rule, pkt):
+            return rule.action
+    return program.default_action
+
+
+EDGE_PORTS = [0, 1, 22, 53, 1023, 1024, 65535]
+ports = st.one_of(st.sampled_from(EDGE_PORTS), st.integers(0, 65535))
+port_ranges = st.lists(st.tuples(ports, ports).map(lambda t: PortRange(min(t), max(t))), max_size=3).map(tuple)
+
+
+@st.composite
+def address_ranges(draw):
+    plen = draw(st.integers(0, 32))
+    mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
+    return AddressRange(int_to_ip(draw(st.integers(0, 0xFFFFFFFF)) & mask), plen)
+
+
+matches = st.builds(
+    Match,
+    src_range=st.none() | address_ranges(),
+    dst_range=st.none() | address_ranges(),
+    proto=st.sampled_from([None, PROTO_TCP, PROTO_UDP, PROTO_ICMP]),
+    src_ports=port_ranges,
+    dst_ports=port_ranges,
+    tcp_flag_mask=st.none() | st.integers(0, 255),
+).filter(lambda m: not m.is_empty())
+actions = st.sampled_from([Drop(), Accept(), SteerToBackend("b1"), SteerToBackend("b2"), RateLimit("egress")])
+
+
+@st.composite
+def programs(draw):
+    specs = draw(st.lists(st.tuples(st.sampled_from([toolbox.IN, toolbox.OUT]), matches, actions), max_size=8))
+    priorities = draw(st.permutations(range(len(specs))))
+    return [SteeringRule(10 * p, d, m, a) for p, (d, m, a) in zip(priorities, specs)]
+
+
+def probe_packets(rules, rnd, n=30):
+    """Random packets, half of their addresses drawn inside the rules' ranges."""
+    ranges = [r for rule in rules for r in (rule.match.src_range, rule.match.dst_range) if r is not None]
+
+    def address():
+        if ranges and rnd.random() < 0.5:
+            r = rnd.choice(ranges)
+            return r.base_int | (rnd.getrandbits(32) & ~r.mask & 0xFFFFFFFF)
+        return rnd.getrandbits(32)
+
+    def port():
+        return rnd.choice(EDGE_PORTS) if rnd.random() < 0.5 else rnd.randrange(65536)
+
+    return [
+        PacketRecord(
+            ts=0, src_ip=address(), dst_ip=address(),
+            proto=rnd.choice([PROTO_TCP, PROTO_UDP, PROTO_ICMP, 47]),
+            src_port=port(), dst_port=port(), tcp_flags=rnd.randrange(256),
+        )
+        for _ in range(n)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs(), st.randoms(use_true_random=False))
+def test_compiled_evaluate_matches_reference_loop(rules, rnd):
+    program = toolbox.compile(rules)
+    for probe in probe_packets(rules, rnd):
+        for direction in (toolbox.IN, toolbox.OUT):
+            assert evaluate(program, probe, direction) == reference_evaluate(program, probe, direction)
+
+
+def _representable(rule):
+    m = rule.match
+    return not (m.src_ports or m.dst_ports) or m.proto in (PROTO_TCP, PROTO_UDP)
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs(), st.randoms(use_true_random=False))
+def test_iptables_round_trip_evaluates_identically(rules, rnd):
+    rules = [r for r in rules if _representable(r)]
+    program = toolbox.compile(rules)
+    limiters = {"egress": (100, 100)}
+    parsed, parsed_limiters, _ = parse_iptables(emit_iptables(program, limiters=limiters))
+    for probe in probe_packets(rules, rnd):
+        for direction in (toolbox.IN, toolbox.OUT):
+            want, got = evaluate(program, probe, direction), evaluate(parsed, probe, direction)
+            if want.kind == toolbox.ACT_RATELIMIT:
+                # the parser names limiters by their numbers
+                assert got.kind == want.kind and parsed_limiters[got.arg] == limiters[want.arg]
+            else:
+                assert got == want
 
 
 class TestTokenBucket:
