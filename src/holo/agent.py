@@ -253,6 +253,9 @@ class AgentProcess:
         self._stop = threading.Event()
 
     def connect(self) -> None:
+        if self._sock is not None:  # a reconnect: drop the dead connection first
+            self._reader.close()
+            self._sock.close()
         host, _, port = self.hub_address.rpartition(":")
         self._sock = socket.create_connection((host or "127.0.0.1", int(port)), timeout=30)
         self._reader = self._sock.makefile("rb")
@@ -306,8 +309,8 @@ class AgentProcess:
                 log.warning("hub connection lost (%s); reconnecting", exc)
                 try:
                     self.connect()
-                except OSError:
-                    pass
+                except (OSError, overlay.OverlayError) as exc:
+                    log.warning("reconnect failed (%s)", exc)
             remaining = interval
             while remaining > 0 and not self._stop.is_set():
                 step = min(remaining, keepalive)

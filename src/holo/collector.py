@@ -67,6 +67,30 @@ class TraceFileMeta:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def write_atomic(path, text: str, fsync: bool = True) -> None:
+    """Replace path with text so that a crash leaves the old or the new file.
+
+    The text goes to a temp file beside path, which is renamed over it.
+    With fsync, the temp file reaches the disk before the rename and the
+    directory after it, so the new file also survives a power cut; without,
+    only a crash of the process is covered.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.write(text)
+        if fsync:
+            fh.flush()
+            os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    if fsync:
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+
 def trace_filename(sensor_id: str, bucket: str) -> str:
     return f"{sensor_id}_{bucket}.pcap"
 
@@ -155,7 +179,10 @@ class HourlyWriter:
             sealed=True,
             content_hash=_sha256_file(path),
         )
-        Path(str(path) + ".meta.json").write_text(meta.to_json())
+        # no fsync: on ext4 it also forces out the hour's pcap, which the
+        # writer never fsyncs, and cut ingest of large-payload captures by
+        # about 40 % on a 2-vCPU host
+        write_atomic(str(path) + ".meta.json", meta.to_json(), fsync=False)
         os.chmod(path, 0o444)
         self.sealed.append(meta)
         self._fh = None
@@ -248,7 +275,7 @@ class LocalLake:
             raise CollectorError(f"hash mismatch for {sensor_id}/{bucket}: {got}")
         pcap, meta_path = lake_paths(self.root, sensor_id, bucket)
         os.replace(part, pcap)
-        meta_path.write_text(meta.to_json())
+        write_atomic(meta_path, meta.to_json())
 
     def verified_hash(self, sensor_id: str, bucket: str) -> Optional[str]:
         """Hash of the committed copy, recomputed from bytes; None if absent."""

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import overlay
+from .collector import write_atomic
 from .net import AddressRange, ranges_overlap
 
 HEARTBEAT_INTERVAL = 10.0
@@ -215,6 +216,8 @@ class InstanceStatus:
 class SensorReport:
     instances: list = field(default_factory=list)
     last_heartbeat: float = 0.0
+    # instance id -> when the controller first saw it pending (runtime only)
+    pending_since: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -247,16 +250,18 @@ def reconcile(
     """Pure diff of reported state against desired state.
 
     Missing or crashed instances become Start/Restart, surplus instances
-    become Stop (lowest instance id first). Sensors silent for more than
-    MISSED_HEARTBEATS_LIMIT intervals are excluded entirely so a flapping
-    link cannot cause thrashing.
+    become Stop (lowest instance id first). An instance pending for more
+    than MISSED_HEARTBEATS_LIMIT intervals counts as crashed. Sensors
+    silent for more than MISSED_HEARTBEATS_LIMIT intervals are excluded
+    entirely so a flapping link cannot cause thrashing.
     """
+    deadline = heartbeat_interval * MISSED_HEARTBEATS_LIMIT
     actions: list[Action] = []
     for sensor_id in sorted(desired):
         report = reported.get(sensor_id)
         if report is None:
             continue
-        if now - report.last_heartbeat > heartbeat_interval * MISSED_HEARTBEATS_LIMIT:
+        if now - report.last_heartbeat > deadline:
             continue  # unreachable
         specs = {spec.name: spec for spec in desired[sensor_id]}
         by_spec: dict[str, list[InstanceStatus]] = {}
@@ -264,6 +269,9 @@ def reconcile(
             if inst.status == ST_STOPPED:
                 continue  # draining; the agent prunes these
             by_spec.setdefault(inst.spec_name, []).append(inst)
+        stuck = {
+            iid for iid, since in report.pending_since.items() if now - since > deadline
+        }
 
         for name in sorted(set(specs) | set(by_spec)):
             insts = sorted(by_spec.get(name, []), key=lambda i: i.instance_id)
@@ -272,8 +280,11 @@ def reconcile(
                 for inst in insts:
                     actions.append(Action("stop", sensor_id, inst.instance_id))
                 continue
-            alive = [i for i in insts if i.status in (ST_PENDING, ST_RUNNING)]
-            crashed = [i for i in insts if i.status == ST_CRASHED]
+            alive = [
+                i for i in insts
+                if i.status in (ST_PENDING, ST_RUNNING) and i.instance_id not in stuck
+            ]
+            crashed = [i for i in insts if i.status == ST_CRASHED or i.instance_id in stuck]
             replicas = spec.replicas
             if len(alive) > replicas:
                 for inst in alive[: len(alive) - replicas]:
@@ -340,7 +351,12 @@ def write_secret(path: Path, text: str) -> None:
 
 
 class Controller:
-    """All control-plane state behind one lock; clock injectable."""
+    """All control-plane state behind one lock; clock injectable.
+
+    `desired_state()` and `peer_registry()` are cached; every mutation goes
+    through `_apply`, which drops the caches, so the next read rebuilds
+    them from the specs and sensors of that moment.
+    """
 
     def __init__(
         self,
@@ -357,12 +373,7 @@ class Controller:
         self.data_dir = Path(data_dir) if data_dir else None
         self._lock = threading.RLock()
 
-        self.principals: dict[str, Principal] = {"admin": Principal("admin", ROLE_ADMIN)}
-        self.tokens: dict[str, OnboardToken] = {}
-        self.sensors: dict[str, SensorDescriptor] = {}
-        self.sensor_keys: dict[str, bytes] = {}
-        self.desired_specs: dict[str, ModuleSpec] = {}
-        self.catalog: dict[tuple[str, str], bytes] = {}
+        self._clear_state()
         self.reported: dict[str, SensorReport] = {}
         self._seq = 0
         self._log_fh = None
@@ -373,6 +384,17 @@ class Controller:
             self._log_fh = open(self.data_dir / "state.log", "a")
 
     # -- persistence -----------------------------------------------------
+
+    def _clear_state(self) -> None:
+        """The logged state of a controller with an empty log."""
+        self.principals: dict[str, Principal] = {"admin": Principal("admin", ROLE_ADMIN)}
+        self.tokens: dict[str, OnboardToken] = {}
+        self.sensors: dict[str, SensorDescriptor] = {}
+        self.sensor_keys: dict[str, bytes] = {}
+        self.desired_specs: dict[str, ModuleSpec] = {}
+        self.catalog: dict[tuple[str, str], bytes] = {}
+        self._desired: Optional[dict[str, list[ModuleSpec]]] = None
+        self._peers: Optional[dict[str, overlay.PeerIdentity]] = None
 
     def _load_or_create_hub_key(self) -> tuple[bytes, bytes]:
         if self.data_dir is None:
@@ -403,6 +425,7 @@ class Controller:
 
     def _apply(self, event: dict) -> None:
         op = event["op"]
+        self._desired = None
         if op == "principal_added":
             p = event["principal"]
             self.principals[p["name"]] = Principal(p["name"], p["role"], p.get("org"))
@@ -413,6 +436,7 @@ class Controller:
             descriptor = SensorDescriptor.from_doc(event["descriptor"])
             self.sensors[descriptor.sensor_id] = descriptor
             self.sensor_keys[descriptor.sensor_id] = bytes.fromhex(event["static_public_key"])
+            self._peers = None
             token = self.tokens.get(event["token"])
             if token is not None:
                 token.used = True
@@ -443,7 +467,7 @@ class Controller:
 
     def _snapshot(self) -> None:
         doc = {"seq": self._seq, "state": self._state_doc()}
-        (self.data_dir / "state.snapshot").write_text(json.dumps(doc, sort_keys=True))
+        write_atomic(self.data_dir / "state.snapshot", json.dumps(doc, sort_keys=True))
 
     def _load_state_doc(self, state: dict) -> None:
         for p in state["principals"]:
@@ -466,9 +490,13 @@ class Controller:
         log_path = self.data_dir / "state.log"
         since = 0
         if snap_path.exists():
-            doc = json.loads(snap_path.read_text())
-            since = doc["seq"]
-            self._load_state_doc(doc["state"])
+            try:
+                doc = json.loads(snap_path.read_text())
+                self._load_state_doc(doc["state"])
+                since = doc["seq"]
+            except (ValueError, KeyError, TypeError, ControlPlaneError):
+                # the log is never compacted, so it alone rebuilds the state
+                self._clear_state()
         self._seq = since
         if log_path.exists():
             data = log_path.read_bytes()
@@ -572,12 +600,17 @@ class Controller:
             )
 
     def peer_registry(self) -> dict[str, overlay.PeerIdentity]:
-        """Overlay identities for every registered sensor."""
+        """Overlay identities for every registered sensor.
+
+        The dict is shared and never mutated: onboarding builds a new one.
+        """
         with self._lock:
-            return {
-                sid: overlay.PeerIdentity(sid, key, overlay.Role.SENSOR)
-                for sid, key in self.sensor_keys.items()
-            }
+            if self._peers is None:
+                self._peers = {
+                    sid: overlay.PeerIdentity(sid, key, overlay.Role.SENSOR)
+                    for sid, key in self.sensor_keys.items()
+                }
+            return self._peers
 
     def hub_identity(self) -> overlay.PeerIdentity:
         return overlay.PeerIdentity(self.hub_id, self.hub_public, overlay.Role.HUB)
@@ -585,17 +618,15 @@ class Controller:
     # -- module deployment ---------------------------------------------------
 
     def resolve_target(self, spec: ModuleSpec) -> list[str]:
-        out = []
+        out = set()
         for sid in spec.target_ids:
             if sid not in self.sensors:
                 raise UnknownSensor(f"no sensor {sid!r}")
-            out.append(sid)
+            out.add(sid)
         if spec.target_labels:
             for sid, desc in self.sensors.items():
-                if sid in out:
-                    continue
                 if all(desc.labels.get(k) == v for k, v in spec.target_labels.items()):
-                    out.append(sid)
+                    out.add(sid)
         return sorted(out)
 
     def set_desired(self, principal: Principal, spec: ModuleSpec) -> dict:
@@ -630,18 +661,24 @@ class Controller:
             return False
         return True
 
-    def desired_state(self) -> dict[str, list[ModuleSpec]]:
-        """Per-sensor spec lists; capability checks re-applied at resolution
-        time so label selectors can never reach a sensor that joined later
-        without the capability."""
-        with self._lock:
+    def _desired_index(self) -> dict[str, list[ModuleSpec]]:
+        """The cached per-sensor spec lists; callers must not mutate them."""
+        if self._desired is None:
             desired: dict[str, list[ModuleSpec]] = {sid: [] for sid in self.sensors}
             for name in sorted(self.desired_specs):
                 spec = self.desired_specs[name]
                 for sid in self.resolve_target(spec):
                     if self._capability_ok(spec, sid):
                         desired[sid].append(spec)
-            return desired
+            self._desired = desired
+        return self._desired
+
+    def desired_state(self) -> dict[str, list[ModuleSpec]]:
+        """Per-sensor spec lists, sorted by spec name; capability checks
+        re-applied at resolution time so label selectors can never reach a
+        sensor that joined later without the capability."""
+        with self._lock:
+            return {sid: list(specs) for sid, specs in self._desired_index().items()}
 
     # -- runtime state ---------------------------------------------------------
 
@@ -653,12 +690,21 @@ class Controller:
             for inst in instances:
                 if inst.sensor_id != sensor_id:
                     raise ValidationError("heartbeat names a foreign sensor instance")
+            now = self.clock()
+            previous = self.reported.get(sensor_id)
+            seen = previous.pending_since if previous is not None else {}
+            pending_since = {
+                inst.instance_id: seen.get(inst.instance_id, now)
+                for inst in instances
+                if inst.status == ST_PENDING
+            }
             self.reported[sensor_id] = SensorReport(
-                instances=instances, last_heartbeat=self.clock()
+                instances=instances, last_heartbeat=now, pending_since=pending_since
             )
             return {"ack": True}
 
     def reconcile_now(self) -> list[Action]:
+        """The whole fleet's actions; the reference `actions_for` must match."""
         with self._lock:
             return reconcile(
                 self.desired_state(),
@@ -668,7 +714,10 @@ class Controller:
             )
 
     def actions_for(self, sensor_id: str) -> list[Action]:
-        return [a for a in self.reconcile_now() if a.sensor_id == sensor_id]
+        """One sensor's actions: reconciles that sensor alone."""
+        with self._lock:
+            desired = {sensor_id: self._desired_index().get(sensor_id, [])}
+            return reconcile(desired, self.reported, self.clock(), self.heartbeat_interval)
 
     def unreachable(self, sensor_id: str) -> bool:
         report = self.reported.get(sensor_id)

@@ -60,9 +60,12 @@ def read_frame(reader) -> overlay.Frame:
     dst = read_exact(reader, dst_len)
     (length,) = struct.unpack(">I", read_exact(reader, 4))
     ciphertext = read_exact(reader, length) if length else b""
-    frame = overlay.Frame(
-        overlay.MsgType(msg_type), src.decode(), dst.decode(), ciphertext, version=version
-    )
+    try:
+        frame = overlay.Frame(
+            overlay.MsgType(msg_type), src.decode(), dst.decode(), ciphertext, version=version
+        )
+    except ValueError as exc:  # unknown message type or a node id that is not UTF-8
+        raise overlay.FrameError(f"malformed frame: {exc}") from None
     if version != overlay.PROTOCOL_VERSION:
         raise overlay.FrameError(f"unsupported version {version}")
     return frame

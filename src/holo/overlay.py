@@ -107,18 +107,20 @@ class PeerIdentity:
             raise ValueError("static_public_key must be 32 bytes")
 
 
+def _ephemeral() -> tuple[X25519PrivateKey, bytes]:
+    """A fresh key object and its raw public key."""
+    priv = X25519PrivateKey.generate()
+    return priv, priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+
+
 def generate_keypair() -> tuple[bytes, bytes]:
     """Return (private, public) raw 32-byte X25519 key material."""
-    priv = X25519PrivateKey.generate()
-    raw_priv = priv.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
-    raw_pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return raw_priv, raw_pub
+    priv, raw_pub = _ephemeral()
+    return priv.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption()), raw_pub
 
 
-def _dh(private: bytes, public: bytes) -> bytes:
-    return X25519PrivateKey.from_private_bytes(private).exchange(
-        X25519PublicKey.from_public_bytes(public)
-    )
+def _dh(private: X25519PrivateKey, public: bytes) -> bytes:
+    return private.exchange(X25519PublicKey.from_public_bytes(public))
 
 
 def _mix(chain: bytes, material: bytes) -> bytes:
@@ -273,7 +275,7 @@ class Session:
 class HalfOpenSession:
     local: PeerIdentity
     hub: PeerIdentity
-    ephemeral_private: bytes
+    ephemeral_private: X25519PrivateKey
     ephemeral_public: bytes
     static_private: bytes
     chain: bytes
@@ -293,11 +295,12 @@ def handshake_initiate(
         raise UnknownHub(f"{hub.node_id} is not a hub identity")
     if hub.static_public_key == b"\x00" * 32:
         raise UnknownHub("hub static key not configured")
-    e_priv, e_pub = generate_keypair()
+    e_priv, e_pub = _ephemeral()
     chain = hashlib.sha256(PROLOGUE).digest()
     chain = _mix(chain, e_pub)
     chain = _mix(chain, _dh(e_priv, hub.static_public_key))
-    chain = _mix(chain, _dh(static_private, hub.static_public_key))
+    static = X25519PrivateKey.from_private_bytes(static_private)
+    chain = _mix(chain, _dh(static, hub.static_public_key))
     k_init = _derive(chain, b"init")
     aad = b"init|" + local.node_id.encode() + b"|" + hub.node_id.encode()
     payload = local.static_public_key + os.urandom(8)
@@ -323,10 +326,11 @@ def handshake_respond(
     if peer is None:
         raise AuthFailure(f"no registered key for {frame.src_id!r}")
     e_i_pub = frame.ciphertext[:32]
+    hub_static = X25519PrivateKey.from_private_bytes(hub_static_private)
     chain = hashlib.sha256(PROLOGUE).digest()
     chain = _mix(chain, e_i_pub)
-    chain = _mix(chain, _dh(hub_static_private, e_i_pub))
-    chain = _mix(chain, _dh(hub_static_private, peer.static_public_key))
+    chain = _mix(chain, _dh(hub_static, e_i_pub))
+    chain = _mix(chain, _dh(hub_static, peer.static_public_key))
     k_init = _derive(chain, b"init")
     aad = b"init|" + frame.src_id.encode() + b"|" + frame.dst_id.encode()
     try:
@@ -336,7 +340,7 @@ def handshake_respond(
     if payload[:32] != peer.static_public_key:
         raise AuthFailure(f"{frame.src_id!r} presented an unregistered static key")
 
-    e_r_priv, e_r_pub = generate_keypair()
+    e_r_priv, e_r_pub = _ephemeral()
     chain = _mix(chain, e_r_pub)
     chain = _mix(chain, _dh(e_r_priv, e_i_pub))
     chain = _mix(chain, _dh(e_r_priv, peer.static_public_key))
@@ -364,7 +368,8 @@ def handshake_finalize(half: HalfOpenSession, frame: Frame, now: float = 0.0) ->
     e_r_pub = frame.ciphertext[:32]
     chain = _mix(half.chain, e_r_pub)
     chain = _mix(chain, _dh(half.ephemeral_private, e_r_pub))
-    chain = _mix(chain, _dh(half.static_private, e_r_pub))
+    static = X25519PrivateKey.from_private_bytes(half.static_private)
+    chain = _mix(chain, _dh(static, e_r_pub))
     k_resp = _derive(chain, b"resp")
     aad = b"resp|" + half.hub.node_id.encode() + b"|" + half.local.node_id.encode()
     try:

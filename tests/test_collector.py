@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -325,3 +326,41 @@ def test_crash_at_every_sync_step_never_loses_data(tmp_path):
         sync(policy, local_k, lake, now=now)
         assert_no_loss(local_k, lake, metas)
         assert {(m.sensor_id, m.hour_bucket) for m in metas} == set(lake.holdings())
+
+
+def test_interrupted_sidecar_write_leaves_no_partial_meta(tmp_path, monkeypatch):
+    """A crash before the rename leaves no .meta.json, so listing never sees a torn one."""
+    real_replace = os.replace
+
+    def crash_on_meta(src, dst):
+        if str(dst).endswith(".meta.json"):
+            raise OSError("simulated crash before rename")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_meta)
+    local = tmp_path / "local"
+    w = HourlyWriter(local, "s1")
+    w.append(record(H10))
+    with pytest.raises(OSError):
+        w.seal()
+    assert list(local.glob("*.meta.json")) == []
+    assert list_sealed(local) == []
+    assert collector.sealed_traces(local) == []
+
+    lake = LocalLake(tmp_path / "lake")
+    bucket = "2025-08-01-10"
+    data = (local / trace_filename("s1", bucket)).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    meta = TraceFileMeta("s1", bucket, 1, len(data), [], True, digest)
+    lake.put_chunk("s1", bucket, 0, data)
+    with pytest.raises(OSError):
+        lake.finalize("s1", bucket, meta, digest)
+    assert list((tmp_path / "lake").rglob("*.meta.json")) == []
+    assert lake.holdings() == []
+    assert lake.verified_hash("s1", bucket) is None
+
+    monkeypatch.undo()  # the retried upload completes
+    lake.put_chunk("s1", bucket, 0, data)
+    lake.finalize("s1", bucket, meta, digest)
+    assert lake.holdings() == [("s1", bucket)]
+    assert lake.verified_hash("s1", bucket) == digest

@@ -565,3 +565,248 @@ def test_capability_safety_randomized_sequences():
                             instance.module_kind == "responder"
                             and instance.status == cp.ST_RUNNING
                         ), f"responder running on non-honeypot sensor {sid}"
+
+
+class TestPendingDeadline:
+    def test_pending_past_deadline_is_restarted(self):
+        clock = FakeClock()
+        c = make_controller(clock, interval=10.0)
+        onboard(c, descriptor())
+        c.set_desired(ADMIN, darknet_spec())
+        c.heartbeat("A1", [])
+        assert [(a.kind, a.instance_id) for a in c.actions_for("A1")] == [("start", "dk-0")]
+
+        pending = [inst("dk-0", status=cp.ST_PENDING).to_doc()]
+        c.heartbeat("A1", pending)
+        first_seen = clock.t
+        assert c.reported["A1"].pending_since == {"dk-0": first_seen}
+        for _ in range(3):  # 30 s: exactly MISSED_HEARTBEATS_LIMIT intervals
+            clock.advance(10.0)
+            c.heartbeat("A1", pending)
+            assert c.actions_for("A1") == []
+            assert c.reported["A1"].pending_since == {"dk-0": first_seen}
+        clock.advance(1.0)
+        c.heartbeat("A1", pending)
+        actions = c.actions_for("A1")
+        assert [(a.kind, a.instance_id) for a in actions] == [("restart", "dk-0")]
+        assert actions == c.reconcile_now()
+
+        # pending -> running clears the record; a later pending starts anew
+        c.heartbeat("A1", [inst("dk-0").to_doc()])
+        assert c.reported["A1"].pending_since == {}
+        assert c.actions_for("A1") == []
+        clock.advance(5.0)
+        c.heartbeat("A1", pending)
+        assert c.reported["A1"].pending_since == {"dk-0": clock.t}
+        assert c.actions_for("A1") == []
+
+
+LABEL_SETS = ({}, {"zone": "a"}, {"zone": "b"}, {"zone": "a", "tier": "x"})
+SELECTORS = ({"zone": "a"}, {"zone": "b"}, {"tier": "x"}, {"zone": "a", "tier": "x"})
+SPEC_PARAMS = {
+    "darknet": {"ranges": ["10.200.0.0/24"]},
+    "responder": {"ip_ranges": ["10.200.0.0/28"], "ports": ["22"]},
+    "workload": {"behavior": "noop"},
+    "collector": {},
+}
+STATUSES = (cp.ST_PENDING, cp.ST_RUNNING, cp.ST_CRASHED, cp.ST_STOPPED)
+
+fleet_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("onboard"), st.integers(0, len(LABEL_SETS) - 1), st.booleans(), st.booleans()),
+        st.tuples(
+            st.just("deploy"), st.sampled_from(sorted(SPEC_PARAMS)), st.integers(0, 3),
+            st.lists(st.integers(0, 7), max_size=3), st.integers(-1, len(SELECTORS) - 1),
+            st.integers(1, 3),
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 3)),
+        st.tuples(
+            st.just("heartbeat"), st.integers(0, 7),
+            st.lists(st.tuples(st.integers(0, 4), st.sampled_from(STATUSES)), max_size=5),
+        ),
+        st.tuples(st.just("advance"), st.floats(0.0, 25.0)),
+        st.tuples(st.just("restart")),
+    ),
+    max_size=30,
+)
+
+
+def desired_from_scratch(c):
+    """Resolve every spec against every sensor, independently of the controller."""
+    out = {sid: [] for sid in c.sensors}
+    for name in sorted(c.desired_specs):
+        spec = c.desired_specs[name]
+        for sid, desc in c.sensors.items():
+            by_label = bool(spec.target_labels) and all(
+                desc.labels.get(k) == v for k, v in spec.target_labels.items()
+            )
+            if sid not in spec.target_ids and not by_label:
+                continue
+            if spec.module_kind == "responder" and not desc.honeypot_allowed:
+                continue
+            if spec.module_kind == "workload" and not desc.workload_allowed:
+                continue
+            out[sid].append(spec)
+    return out
+
+
+def check_fleet(c):
+    fleet = c.reconcile_now()
+    for sid in c.sensors:
+        assert c.actions_for(sid) == [a for a in fleet if a.sensor_id == sid]
+    desired = c.desired_state()
+    assert desired == desired_from_scratch(c)
+    for specs in desired.values():
+        specs.clear()  # a caller's copy: the controller's cache must not change
+    assert c.desired_state() == desired_from_scratch(c)
+    assert set(c.peer_registry()) == set(c.sensors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=fleet_ops)
+def test_per_sensor_reconcile_matches_fleet_reconcile(ops):
+    """actions_for(sid) is the fleet's reconcile filtered to sid, and the cached
+    desired state equals a from-scratch resolution, at every step and across
+    restarts that replay state.log (with snapshots every few events)."""
+    import tempfile
+
+    saved = cp.SNAPSHOT_EVERY
+    cp.SNAPSHOT_EVERY = 4
+    clock = FakeClock()
+    with tempfile.TemporaryDirectory() as d:
+        c = Controller(data_dir=d, clock=clock, heartbeat_interval=10.0)
+        try:
+            for op in ops:
+                sensors = sorted(c.sensors)
+                if op[0] == "onboard":
+                    _, labels, honeypot, workload = op
+                    n = len(sensors)
+                    onboard(c, descriptor(sensor_id=f"s{n}", ranges=(f"10.{n}.0.0/24",),
+                                          honeypot=honeypot, workload=workload,
+                                          labels=dict(LABEL_SETS[labels])))
+                elif op[0] == "deploy":
+                    _, kind, name, ids, selector, replicas = op
+                    spec = ModuleSpec(
+                        kind, f"m{name}", dict(SPEC_PARAMS[kind]),
+                        target_ids=sorted({sensors[i % len(sensors)] for i in ids} if sensors else set()),
+                        target_labels=dict(SELECTORS[selector]) if selector >= 0 else {},
+                        replicas=replicas,
+                    )
+                    try:
+                        c.set_desired(ADMIN, spec)
+                    except (CapabilityDenied, SchemaError, UnknownSensor):
+                        pass
+                elif op[0] == "remove":
+                    try:
+                        c.remove_desired(ADMIN, f"m{op[1]}")
+                    except NotFound:
+                        pass
+                elif op[0] == "heartbeat" and sensors:
+                    sid = sensors[op[1] % len(sensors)]
+                    c.heartbeat(sid, [
+                        inst(f"m{name}-{k}", f"m{name}", status, sensor=sid).to_doc()
+                        for k, (name, status) in enumerate(op[2])
+                    ])
+                elif op[0] == "advance":
+                    clock.advance(op[1])
+                elif op[0] == "restart":
+                    before = desired_from_scratch(c)
+                    c.close()
+                    c = Controller(data_dir=d, clock=clock, heartbeat_interval=10.0)
+                    assert desired_from_scratch(c) == before
+                check_fleet(c)
+            c.close()
+            c = Controller(data_dir=d, clock=clock, heartbeat_interval=10.0)
+            check_fleet(c)
+        finally:
+            c.close()
+            cp.SNAPSHOT_EVERY = saved
+
+
+def test_peer_registry_picks_up_later_sensor():
+    c = make_controller()
+    onboard(c, descriptor())
+    first = c.peer_registry()
+    assert set(first) == {"A1"}
+    onboard(c, descriptor(sensor_id="B1", ranges=("10.9.2.0/24",)))
+    assert set(c.peer_registry()) == {"A1", "B1"}
+    assert set(first) == {"A1"}  # a holder of the old registry keeps a stable dict
+
+
+def logged_state(c):
+    return (c.principals, c.tokens, c.sensors, c.sensor_keys, c.desired_specs, c.catalog)
+
+
+def build_snapshotted_controller(path, clock):
+    """A controller whose state.snapshot covers part of a longer state.log."""
+    c = Controller(data_dir=path, clock=clock)
+    onboard(c, descriptor(labels={"zone": "a"}))
+    c.set_desired(ADMIN, ModuleSpec("darknet", "dk", {"ranges": ["10.9.1.0/24"]},
+                                    target_labels={"zone": "a"}))
+    c.add_principal(ADMIN, Principal("op-a", cp.ROLE_ORG, "org-a"))
+    c.catalog_put(ADMIN, "m", b"x")
+    return c
+
+
+class TestSnapshotCrashSafety:
+    def test_torn_snapshot_at_every_byte_offset(self, tmp_path, monkeypatch):
+        """Restart never crashes on a cut snapshot; the state is what the log gives."""
+        monkeypatch.setattr(cp, "SNAPSHOT_EVERY", 3)
+        clock = FakeClock()
+        src = tmp_path / "src"
+        c = build_snapshotted_controller(src, clock)
+        c.close()
+        snap = (src / "state.snapshot").read_bytes()
+        log = (src / "state.log").read_bytes()
+        key = (src / "hub.key").read_bytes()
+        assert json.loads(snap)["seq"] < log.count(b"\n")
+
+        ref_dir = tmp_path / "log-only"
+        ref_dir.mkdir()
+        (ref_dir / "hub.key").write_bytes(key)
+        (ref_dir / "state.log").write_bytes(log)
+        ref = Controller(data_dir=ref_dir, clock=clock)
+        want, want_desired = logged_state(ref), ref.desired_state()
+        ref.close()
+        assert want_desired["A1"][0].name == "dk"
+
+        d = tmp_path / "restart"
+        for cut in range(len(snap) + 1):
+            shutil.rmtree(d, ignore_errors=True)
+            d.mkdir()
+            (d / "hub.key").write_bytes(key)
+            (d / "state.log").write_bytes(log)
+            (d / "state.snapshot").write_bytes(snap[:cut])
+            c = Controller(data_dir=d, clock=clock)
+            assert logged_state(c) == want, cut
+            assert c.desired_state() == want_desired
+            assert set(c.peer_registry()) == {"A1"}
+            c.close()
+
+    def test_replace_failing_mid_snapshot(self, tmp_path, monkeypatch):
+        """A crash between writing the temp file and renaming it loses nothing."""
+        monkeypatch.setattr(cp, "SNAPSHOT_EVERY", 3)
+        clock = FakeClock()
+        c = build_snapshotted_controller(tmp_path, clock)
+        old_snap = (tmp_path / "state.snapshot").read_bytes()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        assert c._seq % cp.SNAPSHOT_EVERY == cp.SNAPSHOT_EVERY - 1
+        with pytest.raises(OSError):
+            c.catalog_put(ADMIN, "n", b"y")  # the event that triggers the snapshot
+        want = logged_state(c)
+        c.close()
+        monkeypatch.undo()
+
+        assert (tmp_path / "state.snapshot").read_bytes() == old_snap
+        c = Controller(data_dir=tmp_path, clock=clock)
+        assert logged_state(c) == want
+        assert {name for name, _ in c.catalog} == {"m", "n"}
+        c.catalog_put(ADMIN, "o", b"z")
+        c.close()
+        c = Controller(data_dir=tmp_path, clock=clock)
+        assert {name for name, _ in c.catalog} == {"m", "n", "o"}
+        c.close()

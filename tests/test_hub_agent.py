@@ -1,6 +1,10 @@
 """Hub server and agent over real sockets, in one process."""
 
+import io
 import json
+import os
+import socket
+import threading
 import time
 
 import pytest
@@ -8,7 +12,7 @@ import pytest
 from holo import collector, controlplane as cp, overlay
 from holo.agent import AgentCore, AgentProcess, OverlayLakeClient, onboard
 from holo.collector import HourlyWriter, SyncPolicy, bucket_start_us, sync
-from holo.hub import HubServer, admin_request
+from holo.hub import HubServer, admin_request, read_frame
 from holo.net import ip_to_int
 from holo.packets import PROTO_TCP, TCP_SYN, PacketRecord
 
@@ -202,3 +206,89 @@ def test_agent_identity_restart_reconnects(hub, tmp_path):
         assert proc2.heartbeat_once()["ack"] is True
     finally:
         proc2.stop()
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+class GarblingHub:
+    """Listens on a stopped hub's port and answers handshakes with garbage:
+    first a response whose ciphertext fails to verify, then a frame of an
+    unknown message type."""
+
+    def __init__(self, host, port):
+        self.listener = socket.create_server((host, port))
+        self.listener.settimeout(0.05)
+        self.answered = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            with conn, conn.makefile("rb") as reader:
+                conn.settimeout(5)
+                init = read_frame(reader)
+                if self.answered % 2 == 0:
+                    bad = overlay.encode_frame(overlay.Frame(
+                        overlay.MsgType.HANDSHAKE_RESP, "hub", init.src_id, os.urandom(48)))
+                else:
+                    bad = bytes([overlay.PROTOCOL_VERSION, 99, 0, 0]) + b"\x00" * 4
+                conn.sendall(bad)
+                self.answered += 1
+
+    def close(self):
+        self._stop.set()
+        self._thread.join()
+        self.listener.close()
+
+
+def test_agent_survives_hub_restart_and_bad_handshake(tmp_path):
+    controller = cp.Controller(data_dir=tmp_path / "controller", heartbeat_interval=0.5)
+    server = HubServer(controller)
+    controller.hub_address = server.address
+    host, _, port = server.address.rpartition(":")
+    port = int(port)
+    server.start()
+    proc, _ = join(server, tmp_path)
+    runner = threading.Thread(target=proc.run, kwargs={"interval": 0.05}, daemon=True)
+    runner.start()
+    try:
+        first = controller.reported["A1"].last_heartbeat
+        wait_until(lambda: controller.reported["A1"].last_heartbeat > first)
+
+        server.stop()
+        garbling = GarblingHub(host, port)
+        proc._sock.shutdown(socket.SHUT_RDWR)  # the hub's end of the session is gone
+        wait_until(lambda: garbling.answered >= 2)
+        garbling.close()
+        assert runner.is_alive()
+
+        server = HubServer(controller, host=host, port=port)
+        server.start()
+        since = controller.reported["A1"].last_heartbeat
+        wait_until(lambda: controller.reported["A1"].last_heartbeat > since)
+        assert runner.is_alive()
+    finally:
+        proc.stop()
+        runner.join(timeout=10)
+        server.stop()
+        controller.close()
+    assert not runner.is_alive()
+
+
+def test_read_frame_rejects_unknown_message_type():
+    raw = bytes([overlay.PROTOCOL_VERSION, 99, 1]) + b"A" + bytes([1]) + b"B" + b"\x00" * 4
+    with pytest.raises(overlay.FrameError):
+        read_frame(io.BytesIO(raw))
+    bad_id = bytes([overlay.PROTOCOL_VERSION, 3, 1]) + b"\xff" + bytes([1]) + b"B" + b"\x00" * 4
+    with pytest.raises(overlay.FrameError):
+        read_frame(io.BytesIO(bad_id))
