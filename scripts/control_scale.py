@@ -8,10 +8,9 @@ sensors by label, and runs one heartbeat round: `heartbeat` plus
 Prints the round time, the time per heartbeat and the cost of one
 `peer_registry()` call, which the hub makes per frame.
 
-Usage: python scripts/control_scale.py [--sizes 60 240 960]
+Usage: python scripts/control_scale.py
 """
 
-import argparse
 import time
 
 from holo import controlplane as cp
@@ -19,6 +18,7 @@ from holo import overlay
 
 ADMIN = cp.Principal("admin", cp.ROLE_ADMIN)
 REGISTRY_CALLS = 1000
+SIZES = (60, 240, 960)
 
 
 def build(n_sensors: int) -> cp.Controller:
@@ -58,11 +58,8 @@ def registry_cost(controller: cp.Controller) -> float:
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[60, 240, 960])
-    args = parser.parse_args()
     print(f"{'sensors':>8} {'round_s':>9} {'per_hb_ms':>10} {'registry_us':>12} {'actions':>8}")
-    for n in args.sizes:
+    for n in SIZES:
         controller = build(n)
         seconds, actions = heartbeat_round(controller)
         registry = registry_cost(controller)

@@ -714,10 +714,20 @@ class Controller:
             )
 
     def actions_for(self, sensor_id: str) -> list[Action]:
-        """One sensor's actions: reconciles that sensor alone."""
+        """One sensor's actions: reconciles that sensor alone.
+
+        A restart drops the instance's pending record, so a restarted
+        instance that reports pending again gets a fresh deadline.
+        """
         with self._lock:
             desired = {sensor_id: self._desired_index().get(sensor_id, [])}
-            return reconcile(desired, self.reported, self.clock(), self.heartbeat_interval)
+            actions = reconcile(desired, self.reported, self.clock(), self.heartbeat_interval)
+            report = self.reported.get(sensor_id)
+            if report is not None:
+                for action in actions:
+                    if action.kind == "restart":
+                        report.pending_since.pop(action.instance_id, None)
+            return actions
 
     def unreachable(self, sensor_id: str) -> bool:
         report = self.reported.get(sensor_id)

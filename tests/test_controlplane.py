@@ -587,9 +587,10 @@ class TestPendingDeadline:
             assert c.reported["A1"].pending_since == {"dk-0": first_seen}
         clock.advance(1.0)
         c.heartbeat("A1", pending)
+        fleet = c.reconcile_now()
         actions = c.actions_for("A1")
         assert [(a.kind, a.instance_id) for a in actions] == [("restart", "dk-0")]
-        assert actions == c.reconcile_now()
+        assert actions == fleet
 
         # pending -> running clears the record; a later pending starts anew
         c.heartbeat("A1", [inst("dk-0").to_doc()])
@@ -599,6 +600,32 @@ class TestPendingDeadline:
         c.heartbeat("A1", pending)
         assert c.reported["A1"].pending_since == {"dk-0": clock.t}
         assert c.actions_for("A1") == []
+
+    def test_restart_of_stuck_instance_gets_a_fresh_deadline(self):
+        clock = FakeClock()
+        c = make_controller(clock, interval=10.0)
+        onboard(c, descriptor())
+        c.set_desired(ADMIN, darknet_spec())
+        pending = [inst("dk-0", status=cp.ST_PENDING).to_doc()]
+        c.heartbeat("A1", pending)
+        clock.advance(31.0)
+        c.heartbeat("A1", pending)
+        assert [(a.kind, a.instance_id) for a in c.actions_for("A1")] == [("restart", "dk-0")]
+        assert c.reported["A1"].pending_since == {}
+
+        # the restarted instance reports pending again: a new deadline starts
+        clock.advance(10.0)
+        c.heartbeat("A1", pending)
+        restarted_at = clock.t
+        assert c.reported["A1"].pending_since == {"dk-0": restarted_at}
+        assert c.actions_for("A1") == []
+        for _ in range(3):
+            clock.advance(10.0)
+            c.heartbeat("A1", pending)
+            assert c.actions_for("A1") == []
+        clock.advance(1.0)
+        c.heartbeat("A1", pending)
+        assert [(a.kind, a.instance_id) for a in c.actions_for("A1")] == [("restart", "dk-0")]
 
 
 LABEL_SETS = ({}, {"zone": "a"}, {"zone": "b"}, {"zone": "a", "tier": "x"})
