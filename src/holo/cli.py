@@ -65,8 +65,9 @@ def cmd_controller(args) -> int:
     )
     server = HubServer(controller, host or "127.0.0.1", int(port))
     controller.hub_address = server.address
+    # SIGTERM raises KeyboardInterrupt in the main thread, as Ctrl-C does
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"controller listening on {server.address} (data: {data_dir})", flush=True)
-    signal.signal(signal.SIGTERM, lambda *a: server.stop())
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -115,15 +116,16 @@ def cmd_agent(args) -> int:
     core = AgentCore(identity.sensor_id, data_dir=data_dir, descriptor=descriptor)
     proc = AgentProcess(identity, core, hub_address=args.hub)
     proc.connect()
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"agent {identity.sensor_id} connected to {proc.hub_address}", flush=True)
-    if args.oneshot:
-        proc.heartbeat_once()
-        proc.stop()
-        return 0
-    signal.signal(signal.SIGTERM, lambda *a: proc.stop())
     try:
-        proc.run(interval=args.heartbeat)
+        if args.oneshot:
+            proc.heartbeat_once()
+        else:
+            proc.run(interval=args.heartbeat)
     except KeyboardInterrupt:
+        pass
+    finally:
         proc.stop()
     return 0
 

@@ -35,10 +35,6 @@ class CollectorError(Exception):
     pass
 
 
-class DiskFull(CollectorError):
-    pass
-
-
 class LakeUnreachable(CollectorError):
     pass
 

@@ -1,7 +1,8 @@
 """Central controller: registry, onboarding, RBAC, catalog, reconciliation.
 
-State mutations are serialized and logged append-only with periodic
-snapshots, so a restarted controller replays to exactly where it was.
+State mutations are serialized and appended to `state.log`, the
+controller's only persistent state, so a restarted controller replays the
+log to exactly where it was.
 The reconciler is a pure function from (desired, reported, now) to a
 deterministic action list.
 """
@@ -19,12 +20,10 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import overlay
-from .collector import write_atomic
 from .net import AddressRange, ranges_overlap
 
 HEARTBEAT_INTERVAL = 10.0
 MISSED_HEARTBEATS_LIMIT = 3
-SNAPSHOT_EVERY = 100
 
 ROLE_ADMIN = "admin"
 ROLE_ORG = "org-operator"
@@ -373,7 +372,15 @@ class Controller:
         self.data_dir = Path(data_dir) if data_dir else None
         self._lock = threading.RLock()
 
-        self._clear_state()
+        # the logged state, which replaying state.log rebuilds, and its caches
+        self.principals: dict[str, Principal] = {"admin": Principal("admin", ROLE_ADMIN)}
+        self.tokens: dict[str, OnboardToken] = {}
+        self.sensors: dict[str, SensorDescriptor] = {}
+        self.sensor_keys: dict[str, bytes] = {}
+        self.desired_specs: dict[str, ModuleSpec] = {}
+        self.catalog: dict[tuple[str, str], bytes] = {}
+        self._desired: Optional[dict[str, list[ModuleSpec]]] = None
+        self._peers: Optional[dict[str, overlay.PeerIdentity]] = None
         self.reported: dict[str, SensorReport] = {}
         self._seq = 0
         self._log_fh = None
@@ -384,17 +391,6 @@ class Controller:
             self._log_fh = open(self.data_dir / "state.log", "a")
 
     # -- persistence -----------------------------------------------------
-
-    def _clear_state(self) -> None:
-        """The logged state of a controller with an empty log."""
-        self.principals: dict[str, Principal] = {"admin": Principal("admin", ROLE_ADMIN)}
-        self.tokens: dict[str, OnboardToken] = {}
-        self.sensors: dict[str, SensorDescriptor] = {}
-        self.sensor_keys: dict[str, bytes] = {}
-        self.desired_specs: dict[str, ModuleSpec] = {}
-        self.catalog: dict[tuple[str, str], bytes] = {}
-        self._desired: Optional[dict[str, list[ModuleSpec]]] = None
-        self._peers: Optional[dict[str, overlay.PeerIdentity]] = None
 
     def _load_or_create_hub_key(self) -> tuple[bytes, bytes]:
         if self.data_dir is None:
@@ -420,8 +416,6 @@ class Controller:
         doc = {"seq": self._seq, "event": event}
         self._log_fh.write(json.dumps(doc, sort_keys=True) + "\n")
         self._log_fh.flush()
-        if self._seq % SNAPSHOT_EVERY == 0:
-            self._snapshot()
 
     def _apply(self, event: dict) -> None:
         op = event["op"]
@@ -450,54 +444,8 @@ class Controller:
         else:
             raise ControlPlaneError(f"unknown event op {op!r}")
 
-    def _state_doc(self) -> dict:
-        return {
-            "principals": [asdict(p) for p in self.principals.values()],
-            "tokens": [t.to_doc() for t in self.tokens.values()],
-            "sensors": [
-                {"descriptor": d.to_doc(), "static_public_key": self.sensor_keys[sid].hex()}
-                for sid, d in self.sensors.items()
-            ],
-            "desired": [s.to_doc() for s in self.desired_specs.values()],
-            "catalog": [
-                {"name": n, "version": v, "payload": data.hex()}
-                for (n, v), data in self.catalog.items()
-            ],
-        }
-
-    def _snapshot(self) -> None:
-        doc = {"seq": self._seq, "state": self._state_doc()}
-        write_atomic(self.data_dir / "state.snapshot", json.dumps(doc, sort_keys=True))
-
-    def _load_state_doc(self, state: dict) -> None:
-        for p in state["principals"]:
-            self.principals[p["name"]] = Principal(p["name"], p["role"], p.get("org"))
-        for t in state["tokens"]:
-            tok = OnboardToken(**t)
-            self.tokens[tok.token] = tok
-        for s in state["sensors"]:
-            d = SensorDescriptor.from_doc(s["descriptor"])
-            self.sensors[d.sensor_id] = d
-            self.sensor_keys[d.sensor_id] = bytes.fromhex(s["static_public_key"])
-        for s in state["desired"]:
-            spec = ModuleSpec.from_doc(s)
-            self.desired_specs[spec.name] = spec
-        for c in state["catalog"]:
-            self.catalog[(c["name"], c["version"])] = bytes.fromhex(c["payload"])
-
     def _replay(self) -> None:
-        snap_path = self.data_dir / "state.snapshot"
         log_path = self.data_dir / "state.log"
-        since = 0
-        if snap_path.exists():
-            try:
-                doc = json.loads(snap_path.read_text())
-                self._load_state_doc(doc["state"])
-                since = doc["seq"]
-            except (ValueError, KeyError, TypeError, ControlPlaneError):
-                # the log is never compacted, so it alone rebuilds the state
-                self._clear_state()
-        self._seq = since
         if log_path.exists():
             data = log_path.read_bytes()
             # a crash mid-append leaves a torn last line: replay up to the
@@ -507,8 +455,6 @@ class Controller:
                 if not line.strip():
                     continue
                 doc = json.loads(line)
-                if doc["seq"] <= since:
-                    continue
                 self._apply(doc["event"])
                 self._seq = doc["seq"]
             if complete < len(data):
@@ -636,11 +582,8 @@ class Controller:
             targets = self.resolve_target(spec)
             self._require(principal, orgs=[self.sensors[s].org for s in targets])
             for sid in targets:
-                desc = self.sensors[sid]
-                if spec.module_kind == KIND_RESPONDER and not desc.honeypot_allowed:
-                    raise CapabilityDenied(f"sensor {sid!r} does not allow honeypots")
-                if spec.module_kind == KIND_WORKLOAD and not desc.workload_allowed:
-                    raise CapabilityDenied(f"sensor {sid!r} does not allow workloads")
+                if not self._capability_ok(spec, sid):
+                    raise CapabilityDenied(f"sensor {sid!r} does not allow {spec.module_kind}s")
             self._record({"op": "desired_set", "spec": spec.to_doc()})
             return {"spec": spec.name, "sensors": targets}
 

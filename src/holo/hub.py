@@ -53,8 +53,10 @@ def read_exact(reader, n: int) -> bytes:
 
 def read_frame(reader) -> overlay.Frame:
     """Read one length-delimited frame from a buffered binary stream."""
-    head = read_exact(reader, 3)
-    version, msg_type, src_len = head[0], head[1], head[2]
+    version = read_exact(reader, 1)[0]
+    if version != overlay.PROTOCOL_VERSION:
+        raise overlay.FrameError(f"unsupported version {version}")
+    msg_type, src_len = read_exact(reader, 2)
     src = read_exact(reader, src_len)
     dst_len = read_exact(reader, 1)[0]
     dst = read_exact(reader, dst_len)
@@ -66,8 +68,6 @@ def read_frame(reader) -> overlay.Frame:
         )
     except ValueError as exc:  # unknown message type or a node id that is not UTF-8
         raise overlay.FrameError(f"malformed frame: {exc}") from None
-    if version != overlay.PROTOCOL_VERSION:
-        raise overlay.FrameError(f"unsupported version {version}")
     return frame
 
 
@@ -79,6 +79,9 @@ class HubServer:
         self.events: list[dict] = []
         self._events_lock = threading.Lock()
         self.sessions: dict[str, overlay.Session] = {}
+        self._conns: set[socket.socket] = set()  # accepted and still open
+        self._conns_lock = threading.Lock()
+        self._stopped = False
         self.lake = None
         if controller.data_dir is not None:
             self.lake = collector_mod.LocalLake(controller.data_dir / "lake")
@@ -106,8 +109,16 @@ class HubServer:
         self._thread.start()
 
     def stop(self) -> None:
+        """Close the listener and end every accepted connection."""
         self._server.shutdown()
         self._server.server_close()
+        with self._conns_lock:
+            self._stopped = True
+            for sock in self._conns:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer is already gone
 
     def serve_forever(self) -> None:
         self._server.serve_forever()
@@ -123,6 +134,10 @@ class HubServer:
     # --- connection dispatch ---------------------------------------------
 
     def _handle_conn(self, sock: socket.socket) -> None:
+        with self._conns_lock:
+            if self._stopped:
+                return
+            self._conns.add(sock)
         reader = sock.makefile("rb")
         try:
             first = reader.peek(1)[:1]
@@ -134,6 +149,8 @@ class HubServer:
             log.debug("connection ended: %s", exc)
         finally:
             reader.close()
+            with self._conns_lock:
+                self._conns.discard(sock)
 
     # --- overlay side ------------------------------------------------------
 

@@ -57,10 +57,6 @@ class UnknownHub(OverlayError):
     pass
 
 
-class UnknownPeer(OverlayError):
-    pass
-
-
 class AuthFailure(OverlayError):
     pass
 
@@ -154,40 +150,6 @@ def encode_frame(frame: Frame) -> bytes:
             struct.pack(">I", len(frame.ciphertext)),
             frame.ciphertext,
         ]
-    )
-
-
-def decode_frame(data: bytes, offset: int = 0) -> tuple[Frame, int]:
-    """Decode one frame; returns (frame, next_offset). Raises FrameError."""
-    try:
-        version = data[offset]
-        if version != PROTOCOL_VERSION:
-            raise FrameError(f"unsupported version {version}")
-        msg_type = MsgType(data[offset + 1])
-        pos = offset + 2
-        src_len = data[pos]
-        pos += 1
-        src = data[pos : pos + src_len]
-        if len(src) != src_len:
-            raise FrameError("truncated src_id")
-        pos += src_len
-        dst_len = data[pos]
-        pos += 1
-        dst = data[pos : pos + dst_len]
-        if len(dst) != dst_len:
-            raise FrameError("truncated dst_id")
-        pos += dst_len
-        (length,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        ciphertext = data[pos : pos + length]
-        if len(ciphertext) != length:
-            raise FrameError("truncated ciphertext")
-        pos += length
-    except (IndexError, struct.error, ValueError) as exc:
-        raise FrameError(f"malformed frame: {exc}") from None
-    return (
-        Frame(msg_type, src.decode(), dst.decode(), ciphertext, version=version),
-        pos,
     )
 
 

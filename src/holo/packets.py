@@ -97,9 +97,6 @@ class PacketRecord:
             int_to_ip(self.src_ip), int_to_ip(self.dst_ip), self.proto, self.src_port, self.dst_port
         )
 
-    def flag_names(self) -> str:
-        return "|".join(name for bit, name in FLAG_NAMES if self.tcp_flags & bit)
-
 
 def _checksum(data: bytes) -> int:
     """RFC 1071 Internet checksum.

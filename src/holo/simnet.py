@@ -179,7 +179,6 @@ class SensorPath:
         self.writer = writer
         self.counters = PathCounters()
         self.captured: list[PacketRecord] = []
-        self.emitted: list[PacketRecord] = []
         self.responder_events: list[dict] = []
 
         self.darknet_config = darknet_mod.DarknetConfig(
@@ -233,7 +232,6 @@ class SensorPath:
             self.counters.darknet_src_leaks += 1
         if record.proto == PROTO_TCP and record.tcp_flags & TCP_RST:
             self.counters.rst_emitted += 1
-        self.emitted.append(record)
         if self.writer is not None:
             self.writer.append(record)
         return True

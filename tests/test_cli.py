@@ -24,9 +24,8 @@ def run_cli(*args, env=None, check=True, timeout=60):
     return proc
 
 
-@pytest.fixture(scope="module")
-def controller(tmp_path_factory):
-    data_dir = tmp_path_factory.mktemp("controller")
+def start_controller(data_dir):
+    """A `holo controller` subprocess and the address from its banner."""
     proc = subprocess.Popen(
         HOLO + ["controller", "--data-dir", str(data_dir), "--listen", "127.0.0.1:0",
                 "--heartbeat", "0.3"],
@@ -34,14 +33,37 @@ def controller(tmp_path_factory):
     )
     line = proc.stdout.readline()
     match = re.search(r"listening on (\S+)", line)
-    assert match, f"controller did not start: {line}"
-    address = match.group(1)
-    yield address, data_dir
+    if not match:
+        terminate(proc)
+        raise AssertionError(f"controller did not start: {line}")
+    return proc, match.group(1)
+
+
+def terminate(proc, timeout=5):
+    """SIGTERM, then kill after timeout; reaps the process and closes its pipe.
+    Returns the exit code, or None if the process had to be killed."""
     proc.send_signal(signal.SIGTERM)
     try:
-        proc.wait(timeout=5)
+        return proc.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
         proc.kill()
+        proc.wait()
+        return None
+    finally:
+        proc.stdout.close()
+
+
+@pytest.fixture(scope="module")
+def controller(tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("controller")
+    proc, address = start_controller(data_dir)
+    yield address, data_dir
+    terminate(proc)
+
+
+def test_controller_exits_0_on_sigterm(tmp_path):
+    proc, _ = start_controller(tmp_path)
+    assert terminate(proc) == 0
 
 
 def write_descriptor(path, sensor_id, org="org-a", honeypot=True, ranges=("10.9.1.0/24",)):
@@ -113,11 +135,7 @@ def test_token_then_agent_joins_and_shows_in_status(controller, tmp_path):
         rules = list((agent_dir / "A1").glob("holo-rules-*.v4"))
         assert rules, "agent did not write a ruleset"
     finally:
-        agent.send_signal(signal.SIGTERM)
-        try:
-            agent.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            agent.kill()
+        assert terminate(agent) == 0
 
 
 def test_deploy_capability_denied_exit_1(controller, tmp_path):

@@ -438,19 +438,6 @@ class TestPersistence:
         assert "B1" in c2.sensors
         c2.close()
 
-    def test_snapshot_plus_log_tail(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cp, "SNAPSHOT_EVERY", 5)
-        clock = FakeClock()
-        c = Controller(data_dir=tmp_path, clock=clock)
-        for i in range(12):
-            c.catalog_put(ADMIN, f"mod{i}", f"payload{i}".encode())
-        c.close()
-        assert (tmp_path / "state.snapshot").exists()
-        c2 = Controller(data_dir=tmp_path, clock=clock)
-        for i in range(12):
-            assert any(name == f"mod{i}" for name, _ in c2.catalog)
-        c2.close()
-
     def test_torn_log_tail_at_every_byte_offset(self, tmp_path):
         """A crash at any byte of the last append: restart keeps the complete lines."""
         clock = FakeClock()
@@ -488,6 +475,43 @@ class TestPersistence:
             assert set(c.catalog) == want_catalog | {after}
             assert set(c.principals) == want_principals
             c.close()
+
+    def test_stale_snapshot_is_ignored(self, tmp_path):
+        """A state.snapshot left by an earlier version, valid in its format but
+        missing a sensor the log has, neither hides that sensor nor is touched."""
+        clock = FakeClock()
+        src = tmp_path / "src"
+        c = Controller(data_dir=src, clock=clock)
+        onboard(c, descriptor(labels={"zone": "a"}))
+        c.set_desired(ADMIN, ModuleSpec("darknet", "dk", {"ranges": ["10.9.1.0/24"]},
+                                        target_labels={"zone": "a"}))
+        stale = {
+            "principals": [{"name": "admin", "role": cp.ROLE_ADMIN, "org": None}],
+            "tokens": [t.to_doc() for t in c.tokens.values()],
+            "sensors": [{"descriptor": c.sensors["A1"].to_doc(),
+                         "static_public_key": c.sensor_keys["A1"].hex()}],
+            "desired": [s.to_doc() for s in c.desired_specs.values()],
+            "catalog": [],
+        }
+        onboard(c, descriptor(sensor_id="B1", ranges=("10.9.2.0/24",), labels={"zone": "a"}))
+        c.close()
+        log = (src / "state.log").read_bytes()
+        snapshot = json.dumps({"seq": log.count(b"\n"), "state": stale}).encode()
+
+        ref = Controller(data_dir=src, clock=clock)  # the log alone
+        want, want_desired = logged_state(ref), ref.desired_state()
+        ref.close()
+        assert set(want_desired) == {"A1", "B1"}
+
+        (src / "state.snapshot").write_bytes(snapshot)
+        c = Controller(data_dir=src, clock=clock)
+        assert logged_state(c) == want
+        assert c.desired_state() == want_desired
+        assert set(c.peer_registry()) == {"A1", "B1"}
+        c.catalog_put(ADMIN, "m", b"x")
+        c.close()
+        assert (src / "state.snapshot").read_bytes() == snapshot
+        assert (src / "state.log").read_bytes().startswith(log)
 
 
 def test_secret_files_are_0600_from_creation(tmp_path, monkeypatch):
@@ -694,11 +718,9 @@ def check_fleet(c):
 def test_per_sensor_reconcile_matches_fleet_reconcile(ops):
     """actions_for(sid) is the fleet's reconcile filtered to sid, and the cached
     desired state equals a from-scratch resolution, at every step and across
-    restarts that replay state.log (with snapshots every few events)."""
+    restarts that replay state.log."""
     import tempfile
 
-    saved = cp.SNAPSHOT_EVERY
-    cp.SNAPSHOT_EVERY = 4
     clock = FakeClock()
     with tempfile.TemporaryDirectory() as d:
         c = Controller(data_dir=d, clock=clock, heartbeat_interval=10.0)
@@ -747,7 +769,6 @@ def test_per_sensor_reconcile_matches_fleet_reconcile(ops):
             check_fleet(c)
         finally:
             c.close()
-            cp.SNAPSHOT_EVERY = saved
 
 
 def test_peer_registry_picks_up_later_sensor():
@@ -762,78 +783,3 @@ def test_peer_registry_picks_up_later_sensor():
 
 def logged_state(c):
     return (c.principals, c.tokens, c.sensors, c.sensor_keys, c.desired_specs, c.catalog)
-
-
-def build_snapshotted_controller(path, clock):
-    """A controller whose state.snapshot covers part of a longer state.log."""
-    c = Controller(data_dir=path, clock=clock)
-    onboard(c, descriptor(labels={"zone": "a"}))
-    c.set_desired(ADMIN, ModuleSpec("darknet", "dk", {"ranges": ["10.9.1.0/24"]},
-                                    target_labels={"zone": "a"}))
-    c.add_principal(ADMIN, Principal("op-a", cp.ROLE_ORG, "org-a"))
-    c.catalog_put(ADMIN, "m", b"x")
-    return c
-
-
-class TestSnapshotCrashSafety:
-    def test_torn_snapshot_at_every_byte_offset(self, tmp_path, monkeypatch):
-        """Restart never crashes on a cut snapshot; the state is what the log gives."""
-        monkeypatch.setattr(cp, "SNAPSHOT_EVERY", 3)
-        clock = FakeClock()
-        src = tmp_path / "src"
-        c = build_snapshotted_controller(src, clock)
-        c.close()
-        snap = (src / "state.snapshot").read_bytes()
-        log = (src / "state.log").read_bytes()
-        key = (src / "hub.key").read_bytes()
-        assert json.loads(snap)["seq"] < log.count(b"\n")
-
-        ref_dir = tmp_path / "log-only"
-        ref_dir.mkdir()
-        (ref_dir / "hub.key").write_bytes(key)
-        (ref_dir / "state.log").write_bytes(log)
-        ref = Controller(data_dir=ref_dir, clock=clock)
-        want, want_desired = logged_state(ref), ref.desired_state()
-        ref.close()
-        assert want_desired["A1"][0].name == "dk"
-
-        d = tmp_path / "restart"
-        for cut in range(len(snap) + 1):
-            shutil.rmtree(d, ignore_errors=True)
-            d.mkdir()
-            (d / "hub.key").write_bytes(key)
-            (d / "state.log").write_bytes(log)
-            (d / "state.snapshot").write_bytes(snap[:cut])
-            c = Controller(data_dir=d, clock=clock)
-            assert logged_state(c) == want, cut
-            assert c.desired_state() == want_desired
-            assert set(c.peer_registry()) == {"A1"}
-            c.close()
-
-    def test_replace_failing_mid_snapshot(self, tmp_path, monkeypatch):
-        """A crash between writing the temp file and renaming it loses nothing."""
-        monkeypatch.setattr(cp, "SNAPSHOT_EVERY", 3)
-        clock = FakeClock()
-        c = build_snapshotted_controller(tmp_path, clock)
-        old_snap = (tmp_path / "state.snapshot").read_bytes()
-
-        def crash(src, dst):
-            raise OSError("simulated crash before rename")
-
-        monkeypatch.setattr(os, "replace", crash)
-        assert c._seq % cp.SNAPSHOT_EVERY == cp.SNAPSHOT_EVERY - 1
-        with pytest.raises(OSError):
-            c.catalog_put(ADMIN, "n", b"y")  # the event that triggers the snapshot
-        want = logged_state(c)
-        c.close()
-        monkeypatch.undo()
-
-        assert (tmp_path / "state.snapshot").read_bytes() == old_snap
-        c = Controller(data_dir=tmp_path, clock=clock)
-        assert logged_state(c) == want
-        assert {name for name, _ in c.catalog} == {"m", "n"}
-        c.catalog_put(ADMIN, "o", b"z")
-        c.close()
-        c = Controller(data_dir=tmp_path, clock=clock)
-        assert {name for name, _ in c.catalog} == {"m", "n", "o"}
-        c.close()

@@ -292,3 +292,19 @@ def test_read_frame_rejects_unknown_message_type():
     bad_id = bytes([overlay.PROTOCOL_VERSION, 3, 1]) + b"\xff" + bytes([1]) + b"B" + b"\x00" * 4
     with pytest.raises(overlay.FrameError):
         read_frame(io.BytesIO(bad_id))
+
+
+def test_stop_ends_accepted_sessions(tmp_path):
+    controller = cp.Controller(data_dir=tmp_path / "controller", heartbeat_interval=0.5)
+    server = HubServer(controller)
+    controller.hub_address = server.address
+    server.start()
+    proc, _ = join(server, tmp_path)
+    try:
+        assert proc.heartbeat_once()["ack"] is True
+        server.stop()
+        with pytest.raises((ConnectionError, OSError)):
+            proc.heartbeat_once()
+    finally:
+        proc.stop()
+        controller.close()

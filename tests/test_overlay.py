@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holo import overlay
+from holo.hub import read_frame
 from holo.overlay import (
     AuthFailure,
     Decision,
@@ -16,7 +18,6 @@ from holo.overlay import (
     Role,
     SessionClosed,
     UnknownHub,
-    decode_frame,
     encode_frame,
     handshake_finalize,
     handshake_initiate,
@@ -30,17 +31,25 @@ def test_wire_format_bit_exact():
     wire = encode_frame(frame)
     expected = bytes([1, 3, 2]) + b"A1" + bytes([3]) + b"hub" + b"\x00\x00\x00\x05" + b"\x01\x02\x03\x04\x05"
     assert wire == expected
-    decoded, consumed = decode_frame(wire)
-    assert consumed == len(wire)
-    assert decoded == frame
+    stream = io.BytesIO(wire)
+    assert read_frame(stream) == frame
+    assert stream.tell() == len(wire)
 
 
-def test_decode_frame_truncated():
+def test_read_frame_truncated():
     frame = Frame(MsgType.DATA, "A1", "hub", b"payload")
     wire = encode_frame(frame)
     for cut in (0, 1, 3, len(wire) - 1):
-        with pytest.raises(overlay.FrameError):
-            decode_frame(wire[:cut])
+        with pytest.raises(ConnectionError):
+            read_frame(io.BytesIO(wire[:cut]))
+
+
+def test_read_frame_checks_version_first():
+    """A frame of another version is refused before the rest is read."""
+    stream = io.BytesIO(bytes([overlay.PROTOCOL_VERSION + 1]) + b"\xff" * 8)
+    with pytest.raises(overlay.FrameError):
+        read_frame(stream)
+    assert stream.tell() == 1
 
 
 def test_handshake_establishes_and_roundtrips(session_pair):
