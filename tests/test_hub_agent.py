@@ -308,3 +308,43 @@ def test_stop_ends_accepted_sessions(tmp_path):
     finally:
         proc.stop()
         controller.close()
+
+
+def test_stop_ends_every_connection_under_churn(hub):
+    """Connections that come and go while others stay open: stop() ends
+    every open one, and no closed one stays registered."""
+    import sys
+
+    def status(sock_file):
+        sock_file.write(b'{"op": "status", "principal": "admin"}\n')
+        sock_file.flush()
+        return sock_file.readline()
+
+    def churn():
+        for _ in range(20):
+            assert admin_request(hub.address, {"op": "status", "principal": ADMIN})["ok"]
+
+    host, _, port = hub.address.rpartition(":")
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    held = []
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for _ in range(8):
+            sock = socket.create_connection((host, int(port)), timeout=10)
+            held.append((sock, sock.makefile("rwb")))
+            assert status(held[-1][1])  # answered, so its handler is registered
+        for w in workers:
+            w.join(timeout=30)
+            assert not w.is_alive()
+        hub.stop()
+        for _, fh in held:
+            assert fh.readline() == b""  # the hub ended the session
+        wait_until(lambda: not hub._conns)
+    finally:
+        sys.setswitchinterval(saved)
+        for sock, fh in held:
+            fh.close()
+            sock.close()
