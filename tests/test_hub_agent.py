@@ -4,6 +4,7 @@ import io
 import json
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -313,16 +314,17 @@ def test_stop_ends_accepted_sessions(tmp_path):
 def test_stop_ends_every_connection_under_churn(hub):
     """Connections that come and go while others stay open: stop() ends
     every open one, and no closed one stays registered."""
-    import sys
 
     def status(sock_file):
         sock_file.write(b'{"op": "status", "principal": "admin"}\n')
         sock_file.flush()
         return sock_file.readline()
 
+    answered = []
+
     def churn():
         for _ in range(20):
-            assert admin_request(hub.address, {"op": "status", "principal": ADMIN})["ok"]
+            answered.append(admin_request(hub.address, {"op": "status", "principal": ADMIN})["ok"])
 
     host, _, port = hub.address.rpartition(":")
     saved = sys.getswitchinterval()
@@ -339,6 +341,7 @@ def test_stop_ends_every_connection_under_churn(hub):
         for w in workers:
             w.join(timeout=30)
             assert not w.is_alive()
+        assert answered == [True] * 80
         hub.stop()
         for _, fh in held:
             assert fh.readline() == b""  # the hub ended the session
