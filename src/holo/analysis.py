@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cache
@@ -72,27 +73,29 @@ def trace_packets(paths) -> Iterator[tuple]:
     """Stream (ts, src, dst, proto, src_port, dst_port, tcp_flags, payload_len)
     for every decodable frame of the given pcap files, addresses as ints.
 
-    Frames that fail packets.parse_headers are skipped, as the sensor's
-    capture skips them.
+    Each item of paths is a pcap path or a pcap file's bytes. Frames that
+    fail packets.parse_headers are skipped, as the sensor's capture skips
+    them; a frame captured short (as payload redaction leaves it) counts
+    its payload at its wire length.
     """
     for path in paths:
-        for ts, raw, link_type in pcapio.read_pcap(path):
+        for ts, raw, link_type, wire_len in pcapio.read_pcap(path, orig_len=True):
             try:
-                src, dst, proto, sport, dport, flags, start, end = parse_headers(raw, link_type)
+                src, dst, proto, sport, dport, flags, start, end = parse_headers(raw, link_type, wire_len)
             except DecodeError:
                 continue
             yield ts, src, dst, proto, sport, dport, flags, end - start
 
 
-def build_flows(packets: Iterable[tuple]) -> list[FlowRecord]:
-    """One FlowRecord per (UTC day, 5-tuple) over a trace_packets-shaped stream.
+def flow_table(packets: Iterable[tuple], table: Optional[dict] = None) -> dict:
+    """Add a trace_packets-shaped stream to a flow table and return it.
 
-    A single pass into one table keyed by (day number, integer 5-tuple), so
-    memory grows with the number of flows, not packets. Sorting the keys
-    orders the output by day, then by FlowKey.sort_key; addresses and days
-    are rendered once each.
+    The table maps (day number, integer 5-tuple) to [packets, bytes,
+    first_ts, last_ts, flags], so memory grows with the number of flows,
+    not packets. A new table is made when none is given.
     """
-    table: dict[tuple, list] = {}
+    if table is None:
+        table = {}
     get = table.get
     for ts, src, dst, proto, sport, dport, flags, nbytes in packets:
         key = (ts // DAY_US, src, dst, proto, sport, dport)
@@ -107,6 +110,15 @@ def build_flows(packets: Iterable[tuple]) -> list[FlowRecord]:
             elif ts > rec[3]:
                 rec[3] = ts
             rec[4] |= flags
+    return table
+
+
+def render_flows(table: dict) -> list[FlowRecord]:
+    """The FlowRecords of a flow table, by day, then by FlowKey.sort_key.
+
+    Sorting the integer keys gives that order; addresses and days are
+    rendered once each.
+    """
     quad = cache(int_to_ip)
     day_name = cache(lambda day: day_of(day * DAY_US))
     flows = []
@@ -115,6 +127,84 @@ def build_flows(packets: Iterable[tuple]) -> list[FlowRecord]:
         flow_key = FlowKey(quad(src), quad(dst), proto, sport, dport)
         flows.append(FlowRecord(flow_key, day_name(day), *table[key]))
     return flows
+
+
+def build_flows(packets: Iterable[tuple]) -> list[FlowRecord]:
+    """One FlowRecord per (UTC day, 5-tuple) over a trace_packets-shaped stream."""
+    return render_flows(flow_table(packets))
+
+
+# --- flow logs -----------------------------------------------------------------
+#
+# A flow log is a sequence of blocks, each the flow table of one sealed
+# hour: a header holding the row count and the sha256 of the pcap the rows
+# were built from, then the rows. Every packet of an hour file lies within
+# one UTC day, so rows carry no day; the reader takes it from the hour
+# bucket. The row count tells a block cut at a row boundary from a
+# complete one.
+
+FLOWS_MAGIC = b"HFLO"
+FLOWS_VERSION = 1
+_FLOWS_HEADER = struct.Struct(">4sHQ32s")  # magic, version, rows, pcap sha256
+# src, dst, proto, src_port, dst_port, packets, bytes, first_ts, last_ts, flags
+_FLOW_ROW = struct.Struct(">IIBHHQQQQB")
+
+
+def encode_flow_block(rows: Iterable[tuple[tuple, list]], content_hash: str) -> bytes:
+    """One flow-log block for (integer 5-tuple, [packets, bytes, first_ts,
+    last_ts, flags]) rows of one hour, built from the pcap whose sha256 hex
+    digest is content_hash."""
+    pack = _FLOW_ROW.pack
+    body = [pack(*key, *rec) for key, rec in rows]
+    header = _FLOWS_HEADER.pack(FLOWS_MAGIC, FLOWS_VERSION, len(body), bytes.fromhex(content_hash))
+    return header + b"".join(body)
+
+
+def index_flow_logs(paths) -> dict[tuple[Path, str], memoryview]:
+    """The rows of every complete block of the given flow logs, keyed by
+    (the log's directory, hex sha256 of the pcap the block was built from).
+
+    A log is read up to its first block that is cut short or not a block;
+    one that cannot be read adds nothing.
+    """
+    index = {}
+    for path in paths:
+        path = Path(path)
+        try:
+            data = memoryview(path.read_bytes())
+        except OSError:
+            continue
+        pos = 0
+        while pos + _FLOWS_HEADER.size <= len(data):
+            magic, version, n_rows, digest = _FLOWS_HEADER.unpack_from(data, pos)
+            start = pos + _FLOWS_HEADER.size
+            pos = start + n_rows * _FLOW_ROW.size
+            if magic != FLOWS_MAGIC or version != FLOWS_VERSION or pos > len(data):
+                break
+            index[path.parent, digest.hex()] = data[start:pos]
+    return index
+
+
+def merge_flow_rows(table: dict, rows, day: int) -> None:
+    """Merge one flow-log block's rows into a flow table under day number day.
+
+    Merging is exact: packets and bytes add, first_ts takes the minimum,
+    last_ts the maximum, and flags are ORed.
+    """
+    get = table.get
+    for src, dst, proto, sport, dport, n, nbytes, first, last, flags in _FLOW_ROW.iter_unpack(rows):
+        key = (day, src, dst, proto, sport, dport)
+        rec = get(key)
+        if rec is None:
+            table[key] = [n, nbytes, first, last, flags]
+        else:
+            rec[0] += n
+            rec[1] += nbytes
+            if first < rec[2]:
+                rec[2] = first
+            if last > rec[3]:
+                rec[3] = last
+            rec[4] |= flags
 
 
 def aggregate_flows(packets: Iterable[PacketRecord], day: str) -> list[FlowRecord]:

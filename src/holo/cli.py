@@ -93,7 +93,7 @@ def cmd_token_new(args) -> int:
 
 
 def _load_descriptor(path: str) -> cp.SensorDescriptor:
-    doc = yaml.safe_load(open(path))
+    doc = yaml.safe_load(Path(path).read_text())
     return cp.SensorDescriptor.from_doc(doc)
 
 
@@ -144,7 +144,7 @@ def _spec_from_doc(doc: dict) -> cp.ModuleSpec:
 
 
 def cmd_deploy(args) -> int:
-    doc = yaml.safe_load(open(args.file))
+    doc = yaml.safe_load(Path(args.file).read_text())
     spec = _spec_from_doc(doc)
     reply = _admin(args, {"op": "deploy", "principal": args.principal, "spec": spec.to_doc()})
     _emit(args, reply, f"deployed {spec.name} -> {reply['delta']['sensors']}")
@@ -207,13 +207,26 @@ def cmd_sim_run(args) -> int:
 
 
 def _sensor_flows(in_dir: Path) -> dict:
-    """Per-sensor flows of the sealed traces under in_dir (local or lake layout)."""
-    paths: dict[str, list] = {}
-    for pcap_path, meta in collector.sealed_traces(in_dir):
-        paths.setdefault(meta.sensor_id, []).append(pcap_path)
-    if not paths:
+    """Per-sensor flows of the sealed traces under in_dir (local or lake layout).
+
+    A trace for whose content hash a flow log in its directory holds a
+    complete block is merged from that block; any other trace is walked
+    packet by packet.
+    """
+    traces = collector.sealed_traces(in_dir)
+    if not traces:
         raise SystemExit(f"error: no sealed trace files under {in_dir}")
-    return {sensor: analysis.build_flows(analysis.trace_packets(p)) for sensor, p in paths.items()}
+    blocks = analysis.index_flow_logs(sorted(Path(in_dir).rglob("*.flows")))
+    tables: dict[str, dict] = {}
+    for pcap_path, meta in traces:
+        table = tables.setdefault(meta.sensor_id, {})
+        rows = blocks.get((pcap_path.parent, meta.content_hash))
+        if rows is None:
+            analysis.flow_table(analysis.trace_packets([pcap_path]), table)
+        else:
+            day = collector.bucket_start_us(meta.hour_bucket) // analysis.DAY_US
+            analysis.merge_flow_rows(table, rows, day)
+    return {sensor: analysis.render_flows(table) for sensor, table in tables.items()}
 
 
 def cmd_analyze(args) -> int:
@@ -285,7 +298,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_rules_emit(args) -> int:
     if args.file:
-        docs = yaml.safe_load(open(args.file))
+        docs = yaml.safe_load(Path(args.file).read_text())
         specs = [_spec_from_doc(d) for d in (docs if isinstance(docs, list) else [docs])]
         program, limiters = build_sensor_program(specs)
         text = toolbox.emit_iptables(program, limiters=limiters)
@@ -304,7 +317,7 @@ def cmd_sync_run(args) -> int:
         redact=args.redact,
     )
     if args.policy:
-        doc = yaml.safe_load(open(args.policy))
+        doc = yaml.safe_load(Path(args.policy).read_text())
         policy = collector.SyncPolicy(**doc)
     lake = collector.LocalLake(args.lake)
     report = collector.sync(policy, args.local, lake, now=args.now or time.time())

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .net import int_to_ip, ip_to_int
 
@@ -168,65 +168,84 @@ def wrap_ethernet(ip_packet: bytes, src_mac: bytes = b"\x02\x00\x00\x00\x00\x01"
 _ETHERTYPE = struct.Struct(">H")
 # version/IHL, total length, flags/fragment offset, protocol, source, destination
 _IPV4 = struct.Struct(">BxHxxHxBxxII")
-_PORTS = struct.Struct(">HH")
+_ETH_IPV4 = struct.Struct(">12xH" + _IPV4.format[1:])  # ethertype, then _IPV4
+_TCP = struct.Struct(">HH8xBB")  # ports, data offset byte, flags
 _UDP = struct.Struct(">HHH")
 
 
-def parse_headers(raw, link_type: int) -> tuple[int, int, int, int, int, int, int, int]:
+def parse_headers(
+    raw, link_type: int, wire_len: Optional[int] = None
+) -> tuple[int, int, int, int, int, int, int, int]:
     """Validate one captured frame and locate its fields.
 
     Returns (src, dst, proto, src_port, dst_port, tcp_flags, payload_start,
     payload_end) with integer addresses; the payload is
     raw[payload_start:payload_end]. Truncated or garbage input raises
     DecodeError. These are the only frame validity rules in holo.
+
+    wire_len is the frame's length on the wire when it was captured short
+    (a pcap record's orig_len): the IPv4 total length is then checked
+    against it and payload_end may lie past the captured bytes, while
+    every header read is still checked against the captured bytes.
     """
+    captured = len(raw)
     if link_type == LINK_ETHERNET:
-        if len(raw) < 14:
-            raise DecodeError("ethernet frame shorter than header")
-        (ethertype,) = _ETHERTYPE.unpack_from(raw, 12)
+        off = 14
+        if captured < 34:
+            if captured < 14:
+                raise DecodeError("ethernet frame shorter than header")
+            (ethertype,) = _ETHERTYPE.unpack_from(raw, 12)
+            if ethertype != ETHERTYPE_IPV4:
+                raise DecodeError(f"unsupported ethertype 0x{ethertype:04x}")
+            raise DecodeError("short IPv4 header")
+        ethertype, vihl, total_len, frag, proto, src, dst = _ETH_IPV4.unpack_from(raw)
         if ethertype != ETHERTYPE_IPV4:
             raise DecodeError(f"unsupported ethertype 0x{ethertype:04x}")
-        off = 14
     elif link_type == LINK_RAW_IPV4:
         off = 0
+        if captured < 20:
+            raise DecodeError("short IPv4 header")
+        vihl, total_len, frag, proto, src, dst = _IPV4.unpack_from(raw)
     else:
         raise DecodeError(f"unsupported link type {link_type}")
 
-    avail = len(raw) - off
-    if avail < 20:
-        raise DecodeError("short IPv4 header")
-    vihl, total_len, frag, proto, src, dst = _IPV4.unpack_from(raw, off)
+    avail = captured - off
     if vihl >> 4 != 4:
         raise DecodeError(f"not IPv4 (version {vihl >> 4})")
     ihl = (vihl & 0x0F) * 4
     if ihl < 20 or ihl > avail:
         raise DecodeError("IPv4 header length exceeds frame")
-    if total_len < ihl or total_len > avail:
+    if total_len < ihl:
         raise DecodeError("IPv4 total length inconsistent with frame")
+    body_len = total_len - ihl
+    room = body_len  # transport header bytes captured
+    if total_len > avail:
+        if wire_len is None or total_len > wire_len - off:
+            raise DecodeError("IPv4 total length inconsistent with frame")
+        room = avail - ihl
     start = off + ihl
     end = off + total_len
-    body_len = total_len - ihl
 
     # Non-first fragments carry no transport header: record as-is, portless.
     if frag & 0x1FFF:
         return src, dst, proto, 0, 0, 0, start, end
     if proto == PROTO_TCP:
-        if body_len < 20:
+        if room < 20:
             raise DecodeError("short TCP header")
-        src_port, dst_port = _PORTS.unpack_from(raw, start)
-        doff = (raw[start + 12] >> 4) * 4
+        src_port, dst_port, doff, flags = _TCP.unpack_from(raw, start)
+        doff = (doff >> 4) * 4
         if doff < 20 or doff > body_len:
             raise DecodeError("TCP data offset exceeds segment")
-        return src, dst, proto, src_port, dst_port, raw[start + 13], start + doff, end
+        return src, dst, proto, src_port, dst_port, flags, start + doff, end
     if proto == PROTO_UDP:
-        if body_len < 8:
+        if room < 8:
             raise DecodeError("short UDP header")
         src_port, dst_port, udp_len = _UDP.unpack_from(raw, start)
         if udp_len < 8 or udp_len > body_len:
             raise DecodeError("UDP length inconsistent with segment")
         return src, dst, proto, src_port, dst_port, 0, start + 8, start + udp_len
     if proto == PROTO_ICMP:
-        if body_len < 8:
+        if room < 8:
             raise DecodeError("short ICMP header")
         return src, dst, proto, 0, 0, 0, start + 8, end
     return src, dst, proto, 0, 0, 0, start, end
@@ -272,3 +291,21 @@ def encode_record(record: PacketRecord) -> bytes:
     if record.proto == PROTO_ICMP:
         return build_icmp(record.src_ip, record.dst_ip, 8, 0, payload)
     return build_ipv4(record.proto, record.src_ip, record.dst_ip, payload)
+
+
+def encoded_headers(record: PacketRecord) -> tuple[int, int, int, int, int, int, int, int]:
+    """parse_headers(encode_record(record), LINK_RAW_IPV4), read off the record.
+
+    encode_record builds headers without options, so where each field lands
+    follows from the record alone; this saves the parse for a frame holo
+    built itself. Tests pin it to parse_headers.
+    """
+    n = len(record.payload_prefix)
+    src, dst, proto = record.src_ip, record.dst_ip, record.proto
+    if proto == PROTO_TCP:
+        return src, dst, proto, record.src_port, record.dst_port, record.tcp_flags, 40, 40 + n
+    if proto == PROTO_UDP:
+        return src, dst, proto, record.src_port, record.dst_port, 0, 28, 28 + n
+    if proto == PROTO_ICMP:
+        return src, dst, proto, 0, 0, 0, 28, 28 + n
+    return src, dst, proto, 0, 0, 0, 20, 20 + n

@@ -20,29 +20,40 @@ def packet_header(ts_us: int, length: int, orig_len: int | None = None) -> bytes
     return PACKET_HEADER.pack(ts_us // 1_000_000, ts_us % 1_000_000, length, orig_len or length)
 
 
-def read_pcap(path):
-    """Yield (ts_us, raw_bytes, link_type) for every packet in the file."""
-    data = Path(path).read_bytes()
+def read_pcap(source, orig_len: bool = False):
+    """Yield (ts_us, raw_bytes, link_type) for every packet of a pcap.
+
+    source is a path or the file's bytes. With orig_len, each tuple also
+    carries the record's original (wire) length, which exceeds len(raw)
+    for a frame captured short.
+    """
+    if isinstance(source, bytes):
+        data, name = source, "pcap data"
+    else:
+        data, name = Path(source).read_bytes(), source
     if len(data) < GLOBAL_HEADER.size:
-        raise ValueError(f"{path}: not a pcap file")
+        raise ValueError(f"{name}: not a pcap file")
     magic, _, _, _, _, _, link_type = GLOBAL_HEADER.unpack_from(data, 0)
     swapped = False
     if magic != PCAP_MAGIC:
         magic_le = struct.unpack("<I", data[:4])[0]
         if magic_le != PCAP_MAGIC:
-            raise ValueError(f"{path}: bad pcap magic 0x{magic:08x}")
+            raise ValueError(f"{name}: bad pcap magic 0x{magic:08x}")
         swapped = True
         _, _, _, _, _, link_type = struct.unpack_from("<HHiIII", data, 4)
     pos = GLOBAL_HEADER.size
     hdr = struct.Struct("<IIII") if swapped else PACKET_HEADER
     while pos + hdr.size <= len(data):
-        sec, usec, incl, _orig = hdr.unpack_from(data, pos)
+        sec, usec, incl, orig = hdr.unpack_from(data, pos)
         pos += hdr.size
         raw = data[pos : pos + incl]
         if len(raw) != incl:
-            raise ValueError(f"{path}: truncated packet at offset {pos}")
+            raise ValueError(f"{name}: truncated packet at offset {pos}")
         pos += incl
-        yield sec * 1_000_000 + usec, raw, link_type
+        if orig_len:
+            yield sec * 1_000_000 + usec, raw, link_type, orig
+        else:
+            yield sec * 1_000_000 + usec, raw, link_type
 
 
 def write_pcap(path, packets, link_type: int = LINK_RAW_IPV4) -> int:

@@ -127,7 +127,8 @@ class SimConfig:
 
 
 def load_sim_config(path) -> SimConfig:
-    doc = yaml.safe_load(open(path))
+    with open(path) as fh:
+        doc = yaml.safe_load(fh)
     try:
         sensors = [SimSensor(**s) for s in doc["sensors"]]
         scanners = [ScannerProfile(**s) for s in doc["scanners"]]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holo import analysis
+from holo import analysis, cli, collector
 from holo.analysis import (
     AnalysisError,
     FlowRecord,
@@ -47,6 +47,7 @@ from holo.packets import (
     decode,
     wrap_ethernet,
 )
+from holo.collector import REDACT_TRUNCATE, HourlyWriter, LocalLake, SyncPolicy, sync
 from holo.pcapio import read_pcap
 
 DAY = "2025-08-01"
@@ -497,3 +498,158 @@ def test_streaming_flows_match_record_oracle(files, start):
         streamed = list(analysis.trace_packets(paths))
         assert analysis.build_flows(streamed) == oracle
         assert set(stamps) - {row[0] for row in streamed} == skipped == invalid
+
+
+# --- flow logs sealed with each hour --------------------------------------------
+
+HOUR_US = 3_600_000_000
+
+
+def _walked_flows(root) -> dict:
+    """Per-sensor flows of the sealed traces under root, every pcap walked."""
+    paths: dict = {}
+    for pcap_path, meta in collector.sealed_traces(root):
+        paths.setdefault(meta.sensor_id, []).append(pcap_path)
+    return {s: analysis.build_flows(analysis.trace_packets(p)) for s, p in paths.items()}
+
+
+def _merged_flow_logs(root, rnd=None) -> dict:
+    """Per-sensor flows merged from the flow logs alone, in path order or
+    shuffled by rnd; every trace must have a block."""
+    blocks = analysis.index_flow_logs(Path(root).rglob("*.flows"))
+    traces = collector.sealed_traces(root)
+    if rnd is not None:
+        rnd.shuffle(traces)
+    tables: dict = {}
+    for pcap_path, meta in traces:
+        day = collector.bucket_start_us(meta.hour_bucket) // analysis.DAY_US
+        rows = blocks[pcap_path.parent, meta.content_hash]
+        analysis.merge_flow_rows(tables.setdefault(meta.sensor_id, {}), rows, day)
+    return {s: analysis.render_flows(t) for s, t in tables.items()}
+
+
+def _flows_csv(path, sensor_flows) -> bytes:
+    analysis.write_flows_csv(path, [f for s in sorted(sensor_flows) for f in sensor_flows[s]])
+    return Path(path).read_bytes()
+
+
+# few flows, several packets an hour: flows recur within and across hours
+recurring_specs = st.tuples(
+    st.sampled_from(["tcp", "tcp", "udp", "truncated_tcp"]),
+    st.sampled_from(ADDRS[:2]),
+    st.sampled_from(ADDRS[2:3]),
+    st.sampled_from([22]),
+    st.sampled_from([23, 80]),
+    st.integers(0, 255),
+    st.binary(max_size=40),
+    st.integers(1, 10 * 60 * 1_000_000),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ethernet=st.booleans(),
+    specs=st.lists(st.one_of(frame_specs, recurring_specs), min_size=1, max_size=40),
+    start=st.integers(0, 30 * 60 * 1_000_000),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_hourly_flow_blocks_merge_to_build_flows(ethernet, specs, start, rnd):
+    """However a stream falls into hours, in whatever order within each hour,
+    the sealed hours' flow-log blocks merge, in any order, to build_flows
+    over the whole stream; frames parse_headers rejects are left out of
+    both."""
+    ts = DAY_US + 86_400_000_000 - start  # up to 30 minutes before a UTC midnight
+    frames = []
+    for kind, src, dst, sport, dport, flags, payload, gap in specs:
+        ts += gap
+        frames.append((ts, _frame(kind, src, dst, sport, dport, flags, payload, ethernet)))
+    rnd.shuffle(frames)
+    frames.sort(key=lambda frame: frame[0] // HOUR_US)  # the writer only rotates forward
+    link = LINK_ETHERNET if ethernet else LINK_RAW_IPV4
+    with tempfile.TemporaryDirectory() as tmp:
+        whole = Path(tmp) / "whole.pcap"
+        _write_trace(whole, frames, ethernet, swapped=False)
+        expected = analysis.build_flows(analysis.trace_packets([whole]))
+        traces = Path(tmp) / "traces"
+        writer = HourlyWriter(traces, "s1", link_type=link)
+        for frame_ts, raw in frames:
+            writer.append(PacketRecord(ts=frame_ts, src_ip=0, dst_ip=0, proto=0), raw)
+        writer.close()
+        days = {m.hour_bucket[:10] for m in writer.sealed}
+        assert len(list(traces.glob("*.flows"))) == len(days)  # one log per UTC day
+        assert _merged_flow_logs(traces, rnd) == {"s1": expected}
+        assert cli._sensor_flows(traces) == {"s1": expected}
+
+
+def test_damaged_or_missing_flow_log_gives_the_walks_csv(tmp_path):
+    traces = tmp_path / "traces"
+    writer = HourlyWriter(traces, "s1")
+    for i in range(24):  # three hours, four flows of two packets each
+        writer.append(pkt(src=f"9.0.0.{i % 4}", dport=(22, 23)[i % 2], ts_off=i * 450_000_000, payload_len=i))
+    writer.close()
+    walk_csv = _flows_csv(tmp_path / "walk.csv", _walked_flows(traces))
+    assert _merged_flow_logs(traces) == _walked_flows(traces)
+
+    def analyze() -> bytes:
+        out = tmp_path / "out.csv"
+        assert cli.main(["analyze", "flows", "--in", str(traces), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert analyze() == walk_csv
+    (log,) = traces.glob("*.flows")
+    whole = log.read_bytes()
+    for cut in range(len(whole)):
+        log.write_bytes(whole[:cut])
+        assert analyze() == walk_csv, cut
+    # blocks built for other content: the first hour's, three times over
+    block = whole[: len(whole) // 3]
+    log.write_bytes(block * 3)
+    assert analyze() == walk_csv
+    log.write_bytes(block.replace(b"HFLO", b"HFLX") + whole[len(block) :])
+    assert analyze() == walk_csv
+    log.unlink()
+    assert analyze() == walk_csv
+
+
+def _mixed_hours(directory, link_type) -> None:
+    """Three hours of TCP, UDP, ICMP and GRE frames, most with payloads past
+    the redaction snap length."""
+    src, dst = ip_to_int("198.51.100.1"), ip_to_int("10.9.0.1")
+    builds = [
+        lambda n: build_tcp(src, dst, 40000, 22, 1, 0, TCP_SYN, b""),
+        lambda n: build_tcp(src, dst, 40000, 22, 2, 0, TCP_ACK, b"d" * (150 + n)),
+        lambda n: build_udp(src, dst, 5353, 53, b"u" * (300 + n)),
+        lambda n: build_icmp(src, dst, 8, 0, b"i" * (100 + n)),
+        lambda n: build_ipv4(47, src, dst, b"g" * (90 + n)),
+    ]
+    writer = HourlyWriter(directory, "s1", link_type=link_type)
+    for n in range(20):
+        ip = builds[n % len(builds)](n)
+        raw = wrap_ethernet(ip) if link_type == LINK_ETHERNET else ip
+        writer.append(PacketRecord(ts=DAY_US + n * 400_000_000, src_ip=0, dst_ip=0, proto=0), raw)
+    writer.close()
+
+
+@pytest.mark.parametrize("link_type", [LINK_RAW_IPV4, LINK_ETHERNET])
+def test_redacted_lake_analyzes_like_the_unredacted_one(tmp_path, link_type):
+    local = tmp_path / "local"
+    _mixed_hours(local, link_type)
+    plain, redacted = LocalLake(tmp_path / "plain"), LocalLake(tmp_path / "redacted")
+    sync(SyncPolicy(retention_hours=99999), local, plain, now=0.0)
+    sync(SyncPolicy(retention_hours=99999, redact=REDACT_TRUNCATE), local, redacted, now=0.0)
+    short = [
+        orig > len(raw)
+        for pcap_path in redacted.root.rglob("*.pcap")
+        for _, raw, _, orig in read_pcap(pcap_path, orig_len=True)
+    ]
+    assert sum(short) == 16  # every frame but the bare SYNs was cut
+
+    want = _flows_csv(tmp_path / "local.csv", _walked_flows(local))
+    assert sum(r.packets for r in _walked_flows(local)["s1"]) == 20
+    for lake in (plain, redacted):
+        assert len(list(lake.root.rglob("*.flows"))) == 3  # one per hour
+        assert _merged_flow_logs(lake.root) == _walked_flows(local)
+        assert _flows_csv(tmp_path / "lake.csv", cli._sensor_flows(lake.root)) == want
+        for log in lake.root.rglob("*.flows"):
+            log.unlink()
+        assert _flows_csv(tmp_path / "lake.csv", cli._sensor_flows(lake.root)) == want

@@ -61,6 +61,7 @@ class TestRotation:
         w.append(record(H10 + 3_600_000_000))
         with pytest.raises(collector.CollectorError):
             w.append(record(H10))
+        w.close()
 
     def test_three_hour_partition_counts(self, tmp_path):
         w = HourlyWriter(tmp_path, "s1")
@@ -88,6 +89,7 @@ class TestSeal:
         w2._open("2025-08-01-10")
         meta = w2.seal()
         assert meta.packet_count == 0 and meta.sealed
+        w.close()
 
     def test_reseal_idempotent(self, tmp_path):
         w = HourlyWriter(tmp_path, "s1")
@@ -111,6 +113,27 @@ class TestSeal:
         meta = w.seal()
         digest = hashlib.sha256((tmp_path / "s1_2025-08-01-10.pcap").read_bytes()).hexdigest()
         assert meta.content_hash == digest
+
+
+    def test_running_hash_matches_file_bytes(self, tmp_path):
+        """The hash kept while writing equals the file's sha256 across
+        rotation, gap hours, a disk-budget pause and a repeated seal()."""
+        w = HourlyWriter(tmp_path / "a", "s1")
+        w.append(record(H10))
+        w.append(record(H10 + 5, dport=23))
+        w.append(record(H10 + 3 * 3_600_000_000))  # hours 11 and 12 sealed empty
+        first = w.seal()
+        assert w.seal() == first
+        paused = HourlyWriter(tmp_path / "b", "s1", disk_budget=200)
+        for i in range(5):
+            paused.append(record(H10 + i))
+        assert paused.dropped == 2  # three 56-byte frames fit the budget
+        paused.close()
+        sealed = [(tmp_path / "a", m) for m in w.sealed] + [(tmp_path / "b", m) for m in paused.sealed]
+        assert [m.packet_count for _, m in sealed] == [2, 0, 0, 1, 3]
+        for directory, meta in sealed:
+            data = (directory / trace_filename("s1", meta.hour_bucket)).read_bytes()
+            assert meta.content_hash == hashlib.sha256(data).hexdigest()
 
 
 class TestDiskFull:
@@ -249,6 +272,20 @@ class TestSync:
         assert len(packets) == 1
         assert len(packets[0][1]) == collector.REDACT_SNAP
 
+    def test_retention_leaves_no_flow_log_behind(self, tmp_path):
+        local, sealed = make_sealed_dir(tmp_path, n_files=6, start="2025-08-01-21")
+        logs = sorted(p.name for p in local.glob("*.flows"))
+        assert logs == ["s1_2025-08-01-21.flows", "s1_2025-08-02-00.flows"]  # one per UTC day
+        lake = LocalLake(tmp_path / "lake")
+        # the first day's three hours go, so does their log; the second day's stays
+        report = sync(SyncPolicy(retention_hours=1), local, lake, now=bucket_start_us("2025-08-02-01") / 1e6)
+        assert report.deleted == 3
+        assert sorted(p.name for p in local.glob("*.flows")) == ["s1_2025-08-02-00.flows"]
+        report = sync(SyncPolicy(retention_hours=1), local, lake, now=bucket_start_us("2025-08-03-00") / 1e6)
+        assert report.deleted == 3
+        assert list(local.iterdir()) == []
+        assert len(list(lake.root.rglob("*.flows"))) == len(sealed)
+
     def test_second_sync_skips_uploaded(self, tmp_path):
         local, _ = make_sealed_dir(tmp_path, n_files=2)
         lake = LocalLake(tmp_path / "lake")
@@ -326,6 +363,39 @@ def test_crash_at_every_sync_step_never_loses_data(tmp_path):
         sync(policy, local_k, lake, now=now)
         assert_no_loss(local_k, lake, metas)
         assert {(m.sensor_id, m.hour_bucket) for m in metas} == set(lake.holdings())
+
+
+def test_lake_writes_no_flow_log_it_cannot_vouch_for(tmp_path):
+    """An upload that is no pcap, or holds a packet outside its bucket's UTC
+    day, gets no flow log, and a stale one from an earlier upload goes."""
+    from holo import cli, pcapio
+    from holo.packets import encode_record
+
+    lake = LocalLake(tmp_path / "lake")
+    bucket = "2025-08-01-10"
+    pcap_path, _ = collector.lake_paths(lake.root, "s1", bucket)
+    log = pcap_path.with_suffix(".flows")
+
+    def upload(data: bytes) -> None:
+        digest = hashlib.sha256(data).hexdigest()
+        lake.put_chunk("s1", bucket, 0, data)
+        lake.finalize("s1", bucket, TraceFileMeta("s1", bucket, 1, len(data), [], True, digest), digest)
+
+    good = tmp_path / "good.pcap"
+    pcapio.write_pcap(good, [(H10, encode_record(record(H10)))])
+    upload(good.read_bytes())
+    assert log.exists()
+    upload(b"not a pcap at all")
+    assert not log.exists()
+    upload(good.read_bytes())
+    assert log.exists()
+    next_day = tmp_path / "next_day.pcap"
+    pcapio.write_pcap(next_day, [(H10 + 86_400_000_000, encode_record(record(H10)))])
+    upload(next_day.read_bytes())
+    assert not log.exists()
+    # the walk reads the packet's own day
+    (flow,) = cli._sensor_flows(lake.root)["s1"]
+    assert flow.day == "2025-08-02"
 
 
 def test_interrupted_sidecar_write_leaves_no_partial_meta(tmp_path, monkeypatch):

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from holo import collector, controlplane as cp, overlay
+from holo import cli, collector, controlplane as cp, overlay
+from holo.analysis import index_flow_logs
 from holo.agent import AgentCore, AgentProcess, OverlayLakeClient, onboard
 from holo.collector import HourlyWriter, SyncPolicy, bucket_start_us, sync
 from holo.hub import HubServer, admin_request, read_frame
@@ -112,6 +113,37 @@ def test_trace_sync_over_overlay_channel(hub, tmp_path):
             assert hub.lake.verified_hash("A1", meta.hour_bucket) == meta.content_hash
         again = sync(SyncPolicy(retention_hours=99999), local, lake_client, now=0.0)
         assert again.uploaded == 0 and again.skipped == 2
+    finally:
+        proc.stop()
+
+
+def test_overlay_lake_analyzes_like_the_local_traces(hub, tmp_path):
+    """The hub's lake builds a flow log for every upload, and `holo analyze`
+    on it gives the local traces' flows, with and without them."""
+    proc, _ = join(hub, tmp_path)
+    try:
+        local = tmp_path / "traces"
+        writer = HourlyWriter(local, "A1")
+        base = bucket_start_us("2025-08-01-00")
+        for h in range(3):
+            for p in range(6):
+                writer.append(PacketRecord(
+                    ts=base + h * 3_600_000_000 + p, src_ip=ip_to_int(f"1.1.1.{p % 2}"),
+                    dst_ip=ip_to_int("10.9.1.5"), proto=PROTO_TCP, src_port=1, dst_port=22 + h,
+                    tcp_flags=TCP_SYN, payload_len=p, payload_prefix=b"x" * p,
+                ))
+        writer.close()
+        want = cli._sensor_flows(local)
+        sync(SyncPolicy(retention_hours=99999), local, OverlayLakeClient(proc), now=0.0)
+        logs = sorted(hub.lake.root.rglob("*.flows"))
+        assert [f.name for f in logs] == ["00.flows", "01.flows", "02.flows"]
+        blocks = index_flow_logs(logs)
+        for pcap_path, meta in collector.sealed_traces(hub.lake.root):
+            assert (pcap_path.parent, meta.content_hash) in blocks
+        assert cli._sensor_flows(hub.lake.root) == want
+        for log in logs:
+            log.unlink()
+        assert cli._sensor_flows(hub.lake.root) == want
     finally:
         proc.stop()
 

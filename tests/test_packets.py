@@ -85,6 +85,34 @@ def test_garbage_and_truncation_rejected():
         decode(good, 147)  # unknown link type
 
 
+@pytest.mark.parametrize("ethernet", [False, True])
+@pytest.mark.parametrize("proto", [PROTO_TCP, PROTO_UDP, PROTO_ICMP])
+def test_wire_length_admits_short_captures_not_cut_headers(proto, ethernet):
+    """A frame captured short parses like the whole frame when given its wire
+    length; one whose IPv4 or transport header was cut still raises."""
+    src, dst = ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5")
+    ip = {
+        PROTO_TCP: lambda: build_tcp(src, dst, 40000, 22, 1, 0, TCP_SYN, b"x" * 200),
+        PROTO_UDP: lambda: build_udp(src, dst, 5353, 53, b"x" * 200),
+        PROTO_ICMP: lambda: build_icmp(src, dst, 8, 0, b"x" * 200),
+    }[proto]()
+    link = LINK_ETHERNET if ethernet else LINK_RAW_IPV4
+    frame = wrap_ethernet(ip) if ethernet else ip
+    headers = (14 if ethernet else 0) + 20 + (20 if proto == PROTO_TCP else 8)
+    whole = packets.parse_headers(frame, link)
+    assert packets.parse_headers(frame, link, len(frame)) == whole
+    for cut in range(headers, len(frame)):
+        with pytest.raises(DecodeError):
+            packets.parse_headers(frame[:cut], link)
+        assert packets.parse_headers(frame[:cut], link, len(frame)) == whole
+    for cut in range(headers):
+        with pytest.raises(DecodeError):
+            packets.parse_headers(frame[:cut], link, len(frame))
+    # the wire length still bounds the IPv4 total length
+    with pytest.raises(DecodeError):
+        packets.parse_headers(frame[:headers], link, len(frame) - 1)
+
+
 def test_fragment_recorded_portless():
     # non-first fragment: offset 100, no transport header to parse
     raw = bytearray(build_ipv4(PROTO_TCP, ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), b"\xaa" * 32))
@@ -161,3 +189,24 @@ def test_decode_encode_identity(src, dst, proto, sport, dport, flags, payload, t
     assert back.payload_len == record.payload_len
     assert back.payload_prefix == record.payload_prefix
     assert back.ts == record.ts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    src=st.integers(0, 2**32 - 1),
+    dst=st.integers(0, 2**32 - 1),
+    proto=st.one_of(st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP]), st.integers(0, 255)),
+    sport=st.integers(0, 65535),
+    dport=st.integers(0, 65535),
+    flags=st.integers(0, 255),
+    payload=st.binary(max_size=600),
+    payload_len=st.integers(0, 5000),
+)
+def test_encoded_headers_match_parse_headers(src, dst, proto, sport, dport, flags, payload, payload_len):
+    """encoded_headers reads off a record what parse_headers finds in the
+    frame encode_record builds from it, for any field values, the ones
+    encode_record ignores included."""
+    record = PacketRecord(ts=0, src_ip=src, dst_ip=dst, proto=proto, src_port=sport, dst_port=dport,
+                          tcp_flags=flags, payload_len=payload_len, payload_prefix=payload)
+    frame = encode_record(record)
+    assert packets.encoded_headers(record) == packets.parse_headers(frame, LINK_RAW_IPV4)
