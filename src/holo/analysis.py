@@ -73,7 +73,7 @@ def trace_packets(paths) -> Iterator[tuple]:
     """Stream (ts, src, dst, proto, src_port, dst_port, tcp_flags, payload_len)
     for every decodable frame of the given pcap files, addresses as ints.
 
-    Each item of paths is a pcap path or a pcap file's bytes. Frames that
+    Each item of paths is a pcap path or a binary pcap file. Frames that
     fail packets.parse_headers are skipped, as the sensor's capture skips
     them; a frame captured short (as payload redaction leaves it) counts
     its payload at its wire length.
@@ -148,6 +148,7 @@ FLOWS_VERSION = 1
 _FLOWS_HEADER = struct.Struct(">4sHQ32s")  # magic, version, rows, pcap sha256
 # src, dst, proto, src_port, dst_port, packets, bytes, first_ts, last_ts, flags
 _FLOW_ROW = struct.Struct(">IIBHHQQQQB")
+FLOW_ROW_SIZE = _FLOW_ROW.size
 
 
 def encode_flow_block(rows: Iterable[tuple[tuple, list]], content_hash: str) -> bytes:

@@ -211,21 +211,24 @@ def _sensor_flows(in_dir: Path) -> dict:
 
     A trace for whose content hash a flow log in its directory holds a
     complete block is merged from that block; any other trace is walked
-    packet by packet.
+    packet by packet. Logs are read one at a time, so memory holds one log
+    and the flow tables.
     """
     traces = collector.sealed_traces(in_dir)
     if not traces:
         raise SystemExit(f"error: no sealed trace files under {in_dir}")
-    blocks = analysis.index_flow_logs(sorted(Path(in_dir).rglob("*.flows")))
-    tables: dict[str, dict] = {}
+    tables: dict[str, dict] = {meta.sensor_id: {} for _, meta in traces}
+    unmerged: dict[tuple, list] = {}  # (directory, content hash) -> traces
     for pcap_path, meta in traces:
-        table = tables.setdefault(meta.sensor_id, {})
-        rows = blocks.get((pcap_path.parent, meta.content_hash))
-        if rows is None:
-            analysis.flow_table(analysis.trace_packets([pcap_path]), table)
-        else:
-            day = collector.bucket_start_us(meta.hour_bucket) // analysis.DAY_US
-            analysis.merge_flow_rows(table, rows, day)
+        unmerged.setdefault((pcap_path.parent, meta.content_hash), []).append((pcap_path, meta))
+    for log in sorted(Path(in_dir).rglob("*.flows")):
+        for key, rows in analysis.index_flow_logs([log]).items():
+            for _, meta in unmerged.pop(key, ()):
+                day = collector.bucket_start_us(meta.hour_bucket) // analysis.DAY_US
+                analysis.merge_flow_rows(tables[meta.sensor_id], rows, day)
+    for walked in unmerged.values():
+        for pcap_path, meta in walked:
+            analysis.flow_table(analysis.trace_packets([pcap_path]), tables[meta.sensor_id])
     return {sensor: analysis.render_flows(table) for sensor, table in tables.items()}
 
 

@@ -137,7 +137,9 @@ class HourlyWriter:
     between still produce sealed zero-packet files so gaps are
     distinguishable from missing data. The content hash and the hour's
     flow table are kept up to date as frames are written, so sealing
-    reads nothing back.
+    reads nothing back. disk_budget bounds the bytes of the frames and of
+    the flow-log rows the writer stores; the fixed headers of each hour's
+    files are not counted. Once a frame would exceed it, capture pauses.
     """
 
     def __init__(
@@ -248,26 +250,32 @@ class HourlyWriter:
         ts = pkt.ts
         data = raw if raw is not None else encode_record(pkt)
         frame = packet_header(ts, len(data)) + data
-        if self.disk_budget is not None and self._written + len(frame) > self.disk_budget:
-            self._paused = True
-            self.dropped += 1
-            self.on_event({"event": "disk-full", "sensor": self.sensor_id, "bucket": self._bucket})
-            return
-        self._fh.write(frame)
-        self._sha.update(frame)
-        self._written += len(frame)
-        self._count += 1
-        self._bytes += len(data)
         if raw is None and self.link_type == LINK_RAW_IPV4:
             fields = encoded_headers(pkt)
         else:
             try:
                 fields = parse_headers(data, self.link_type)
             except DecodeError:
-                return  # analysis skips the frame too
-        src, dst, proto, sport, dport, flags, start, end = fields
-        key = (src, dst, proto, sport, dport)
-        rec = self._flows.get(key)
+                fields = None  # written, but analysis skips the frame too
+        size = len(frame)
+        if fields is not None:
+            src, dst, proto, sport, dport, flags, start, end = fields
+            key = (src, dst, proto, sport, dport)
+            rec = self._flows.get(key)
+            if rec is None:
+                size += analysis.FLOW_ROW_SIZE  # the row the hour's block gains
+        if self.disk_budget is not None and self._written + size > self.disk_budget:
+            self._paused = True
+            self.dropped += 1
+            self.on_event({"event": "disk-full", "sensor": self.sensor_id, "bucket": self._bucket})
+            return
+        self._fh.write(frame)
+        self._sha.update(frame)
+        self._written += size
+        self._count += 1
+        self._bytes += len(data)
+        if fields is None:
+            return
         if rec is None:
             self._flows[key] = [1, end - start, ts, ts, flags]
         else:
@@ -299,15 +307,27 @@ def lake_paths(root, sensor_id: str, bucket: str) -> tuple[Path, Path]:
     return base / f"{h}.pcap", base / f"{h}.meta.json"
 
 
-def _hour_flow_rows(data: bytes, bucket: str) -> Optional[list]:
-    """Flow rows of a pcap's bytes, walked as analysis walks a trace.
+class _HashingReader:
+    """A binary file that feeds every byte read from it to a hash."""
 
-    None when the bytes are no pcap or hold a packet outside the bucket's
+    def __init__(self, fh, sha):
+        self.name, self._read, self._update = fh.name, fh.read, sha.update
+
+    def read(self, n: int = -1) -> bytes:
+        data = self._read(n)
+        self._update(data)
+        return data
+
+
+def _hour_flow_rows(fh, bucket: str) -> Optional[list]:
+    """Flow rows of a binary pcap file, walked as analysis walks a trace.
+
+    None when the file is no pcap or holds a packet outside the bucket's
     UTC day, which flow-log rows cannot express.
     """
     day = bucket_start_us(bucket) // analysis.DAY_US
     try:
-        table = analysis.flow_table(analysis.trace_packets([data]))
+        table = analysis.flow_table(analysis.trace_packets([fh]))
     except ValueError:
         return None
     if any(key[0] != day for key in table):
@@ -342,8 +362,15 @@ class LocalLake:
         part = self._part(sensor_id, bucket)
         if not part.exists():
             raise LakeUnreachable(f"no upload in progress for {sensor_id}/{bucket}")
-        data = part.read_bytes()
-        got = hashlib.sha256(data).hexdigest()
+        # one streaming pass hashes the upload and walks it for the lake's
+        # flow rows, so memory holds a record and the hour's flows, not the hour
+        sha = hashlib.sha256()
+        with open(part, "rb") as fh:
+            reader = _HashingReader(fh, sha)
+            rows = _hour_flow_rows(reader, bucket)
+            for _ in iter(lambda: reader.read(1 << 16), b""):
+                pass  # hash what the walk left unread
+        got = sha.hexdigest()
         if got != expect_hash:
             part.unlink()
             raise CollectorError(f"hash mismatch for {sensor_id}/{bucket}: {got}")
@@ -351,7 +378,6 @@ class LocalLake:
         # built from the verified bytes, so it always matches this copy,
         # redacted or not; derived data, so no fsync
         flows_path = pcap.with_suffix(".flows")
-        rows = _hour_flow_rows(data, bucket)
         if rows is None:
             flows_path.unlink(missing_ok=True)
         else:
@@ -495,17 +521,31 @@ def sync(
         pcap_path.unlink()
         Path(str(pcap_path) + ".meta.json").unlink()
         report.deleted += 1
-    _drop_dead_flow_logs(local_dir)
+    _drop_dead_flow_logs(local_dir, cutoff)
     return report
 
 
-def _drop_dead_flow_logs(directory) -> None:
-    """Delete the flow logs none of whose blocks belongs to a sealed trace
-    still here; this also finishes the work of an interrupted sync."""
+def _drop_dead_flow_logs(directory, cutoff: float) -> None:
+    """Delete each flow log whose UTC day ended by cutoff and of whose
+    sensor and day no sealed trace is left here; this also finishes the
+    work of an interrupted sync.
+
+    A writer names a log <sensor>_<first bucket it sealed>.flows and starts
+    a new one each UTC day, so the name says which traces it serves. The
+    cutoff keeps the log of a day whose first hour is being sealed.
+    """
     directory = Path(directory)
-    live = {(directory, meta.content_hash) for _, meta in list_sealed(directory)}
+    live = {(meta.sensor_id, meta.hour_bucket[:10]) for _, meta in list_sealed(directory)}
     for log in directory.glob("*.flows"):
-        if live.isdisjoint(analysis.index_flow_logs([log])):
+        sensor, _, bucket = log.stem.rpartition("_")
+        day = bucket[:10]
+        if (sensor, day) in live:
+            continue
+        try:
+            day_end = bucket_start_us(day + "-00") / 1e6 + 86400.0
+        except ValueError:
+            continue  # not a name the writer gives
+        if day_end <= cutoff:
             log.unlink()
 
 

@@ -168,8 +168,7 @@ def wrap_ethernet(ip_packet: bytes, src_mac: bytes = b"\x02\x00\x00\x00\x00\x01"
 _ETHERTYPE = struct.Struct(">H")
 # version/IHL, total length, flags/fragment offset, protocol, source, destination
 _IPV4 = struct.Struct(">BxHxxHxBxxII")
-_ETH_IPV4 = struct.Struct(">12xH" + _IPV4.format[1:])  # ethertype, then _IPV4
-_TCP = struct.Struct(">HH8xBB")  # ports, data offset byte, flags
+_PORTS = struct.Struct(">HH")
 _UDP = struct.Struct(">HHH")
 
 
@@ -188,28 +187,22 @@ def parse_headers(
     against it and payload_end may lie past the captured bytes, while
     every header read is still checked against the captured bytes.
     """
-    captured = len(raw)
     if link_type == LINK_ETHERNET:
-        off = 14
-        if captured < 34:
-            if captured < 14:
-                raise DecodeError("ethernet frame shorter than header")
-            (ethertype,) = _ETHERTYPE.unpack_from(raw, 12)
-            if ethertype != ETHERTYPE_IPV4:
-                raise DecodeError(f"unsupported ethertype 0x{ethertype:04x}")
-            raise DecodeError("short IPv4 header")
-        ethertype, vihl, total_len, frag, proto, src, dst = _ETH_IPV4.unpack_from(raw)
+        if len(raw) < 14:
+            raise DecodeError("ethernet frame shorter than header")
+        (ethertype,) = _ETHERTYPE.unpack_from(raw, 12)
         if ethertype != ETHERTYPE_IPV4:
             raise DecodeError(f"unsupported ethertype 0x{ethertype:04x}")
+        off = 14
     elif link_type == LINK_RAW_IPV4:
         off = 0
-        if captured < 20:
-            raise DecodeError("short IPv4 header")
-        vihl, total_len, frag, proto, src, dst = _IPV4.unpack_from(raw)
     else:
         raise DecodeError(f"unsupported link type {link_type}")
 
-    avail = captured - off
+    avail = len(raw) - off
+    if avail < 20:
+        raise DecodeError("short IPv4 header")
+    vihl, total_len, frag, proto, src, dst = _IPV4.unpack_from(raw, off)
     if vihl >> 4 != 4:
         raise DecodeError(f"not IPv4 (version {vihl >> 4})")
     ihl = (vihl & 0x0F) * 4
@@ -217,14 +210,14 @@ def parse_headers(
         raise DecodeError("IPv4 header length exceeds frame")
     if total_len < ihl:
         raise DecodeError("IPv4 total length inconsistent with frame")
+    start = off + ihl
+    end = off + total_len
     body_len = total_len - ihl
     room = body_len  # transport header bytes captured
     if total_len > avail:
         if wire_len is None or total_len > wire_len - off:
             raise DecodeError("IPv4 total length inconsistent with frame")
         room = avail - ihl
-    start = off + ihl
-    end = off + total_len
 
     # Non-first fragments carry no transport header: record as-is, portless.
     if frag & 0x1FFF:
@@ -232,11 +225,11 @@ def parse_headers(
     if proto == PROTO_TCP:
         if room < 20:
             raise DecodeError("short TCP header")
-        src_port, dst_port, doff, flags = _TCP.unpack_from(raw, start)
-        doff = (doff >> 4) * 4
+        src_port, dst_port = _PORTS.unpack_from(raw, start)
+        doff = (raw[start + 12] >> 4) * 4
         if doff < 20 or doff > body_len:
             raise DecodeError("TCP data offset exceeds segment")
-        return src, dst, proto, src_port, dst_port, flags, start + doff, end
+        return src, dst, proto, src_port, dst_port, raw[start + 13], start + doff, end
     if proto == PROTO_UDP:
         if room < 8:
             raise DecodeError("short UDP header")

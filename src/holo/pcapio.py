@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
 
@@ -23,30 +24,34 @@ def packet_header(ts_us: int, length: int, orig_len: int | None = None) -> bytes
 def read_pcap(source, orig_len: bool = False):
     """Yield (ts_us, raw_bytes, link_type) for every packet of a pcap.
 
-    source is a path or the file's bytes. With orig_len, each tuple also
-    carries the record's original (wire) length, which exceeds len(raw)
-    for a frame captured short.
+    source is a path, whose file is read whole, or a binary file, which is
+    read one record at a time. With orig_len, each tuple also carries the
+    record's original (wire) length, which exceeds len(raw) for a frame
+    captured short.
     """
-    if isinstance(source, bytes):
-        data, name = source, "pcap data"
+    if hasattr(source, "read"):
+        fh, name = source, getattr(source, "name", "pcap stream")
     else:
-        data, name = Path(source).read_bytes(), source
-    if len(data) < GLOBAL_HEADER.size:
+        fh, name = io.BytesIO(Path(source).read_bytes()), source
+    read = fh.read
+    head = read(GLOBAL_HEADER.size)
+    if len(head) < GLOBAL_HEADER.size:
         raise ValueError(f"{name}: not a pcap file")
-    magic, _, _, _, _, _, link_type = GLOBAL_HEADER.unpack_from(data, 0)
+    magic, _, _, _, _, _, link_type = GLOBAL_HEADER.unpack(head)
     swapped = False
     if magic != PCAP_MAGIC:
-        magic_le = struct.unpack("<I", data[:4])[0]
+        magic_le = struct.unpack_from("<I", head)[0]
         if magic_le != PCAP_MAGIC:
             raise ValueError(f"{name}: bad pcap magic 0x{magic:08x}")
         swapped = True
-        _, _, _, _, _, link_type = struct.unpack_from("<HHiIII", data, 4)
+        _, _, _, _, _, link_type = struct.unpack_from("<HHiIII", head, 4)
     pos = GLOBAL_HEADER.size
     hdr = struct.Struct("<IIII") if swapped else PACKET_HEADER
-    while pos + hdr.size <= len(data):
-        sec, usec, incl, orig = hdr.unpack_from(data, pos)
-        pos += hdr.size
-        raw = data[pos : pos + incl]
+    unpack, size = hdr.unpack, hdr.size
+    while len(rec := read(size)) == size:
+        sec, usec, incl, orig = unpack(rec)
+        pos += size
+        raw = read(incl)
         if len(raw) != incl:
             raise ValueError(f"{name}: truncated packet at offset {pos}")
         pos += incl

@@ -19,6 +19,7 @@ from holo.collector import (
     sync,
     trace_filename,
 )
+from holo.analysis import FLOW_ROW_SIZE, encode_flow_block
 from holo.net import ip_to_int
 from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_SYN, PacketRecord
 from holo.pcapio import read_pcap
@@ -124,10 +125,11 @@ class TestSeal:
         w.append(record(H10 + 3 * 3_600_000_000))  # hours 11 and 12 sealed empty
         first = w.seal()
         assert w.seal() == first
-        paused = HourlyWriter(tmp_path / "b", "s1", disk_budget=200)
+        # three 56-byte frames of one flow and the flow's row fit the budget
+        paused = HourlyWriter(tmp_path / "b", "s1", disk_budget=3 * 56 + FLOW_ROW_SIZE)
         for i in range(5):
             paused.append(record(H10 + i))
-        assert paused.dropped == 2  # three 56-byte frames fit the budget
+        assert paused.dropped == 2
         paused.close()
         sealed = [(tmp_path / "a", m) for m in w.sealed] + [(tmp_path / "b", m) for m in paused.sealed]
         assert [m.packet_count for _, m in sealed] == [2, 0, 0, 1, 3]
@@ -146,6 +148,24 @@ class TestDiskFull:
         assert events and events[0]["event"] == "disk-full"
         meta = w.seal()
         assert meta.packet_count + w.dropped == 20
+
+    def test_budget_counts_flow_log_rows(self, tmp_path):
+        """Frames and flow-log rows together stay within the budget when
+        every packet starts a flow, across hours; fixed headers aside."""
+        budget = 5000
+        w = HourlyWriter(tmp_path, "s1", disk_budget=budget)
+        for i in range(200):
+            w.append(record(H10 + i * 900_000_000, dport=i))  # four packets an hour
+        w.close()
+        assert w.dropped > 0
+        pcaps = sorted(tmp_path.glob("*.pcap"))
+        blocks = len(w.sealed)
+        stored = sum(p.stat().st_size - 24 for p in pcaps)
+        stored += sum(p.stat().st_size for p in tmp_path.glob("*.flows"))
+        stored -= blocks * len(encode_flow_block([], "00" * 32))
+        frames = sum(p.stat().st_size - 24 for p in pcaps)
+        assert frames + FLOW_ROW_SIZE * sum(m.packet_count for m in w.sealed) == stored
+        assert budget - (56 + FLOW_ROW_SIZE) < stored <= budget
 
 
 def make_sealed_dir(tmp_path, n_files=4, start="2025-08-01-10", packets_per=3):
@@ -281,10 +301,40 @@ class TestSync:
         report = sync(SyncPolicy(retention_hours=1), local, lake, now=bucket_start_us("2025-08-02-01") / 1e6)
         assert report.deleted == 3
         assert sorted(p.name for p in local.glob("*.flows")) == ["s1_2025-08-02-00.flows"]
+        # a log outlives its traces until the retention cutoff passes its day's end
         report = sync(SyncPolicy(retention_hours=1), local, lake, now=bucket_start_us("2025-08-03-00") / 1e6)
         assert report.deleted == 3
+        assert sorted(p.name for p in local.glob("*.flows")) == ["s1_2025-08-02-00.flows"]
+        report = sync(SyncPolicy(retention_hours=1), local, lake, now=bucket_start_us("2025-08-03-01") / 1e6)
+        assert report.deleted == 0
         assert list(local.iterdir()) == []
         assert len(list(lake.root.rglob("*.flows"))) == len(sealed)
+
+    def test_retention_drops_the_log_of_a_day_with_gap_hours(self, tmp_path):
+        """Every zero-packet hour has the same bytes, hence the same hash; a
+        later day's empty hour must not keep an expired day's log alive."""
+        local = tmp_path / "local"
+        w = HourlyWriter(local, "s1")
+        for bucket in ("2025-08-01-21", "2025-08-01-23", "2025-08-02-00", "2025-08-02-02"):
+            w.append(record(bucket_start_us(bucket)))  # hours 22 and 01 sealed empty
+        w.close()
+        gap = [m.content_hash for m in w.sealed if m.packet_count == 0]
+        assert len(gap) == 2 and gap[0] == gap[1]
+        lake = LocalLake(tmp_path / "lake")
+        report = sync(SyncPolicy(retention_hours=1), local, lake, now=bucket_start_us("2025-08-02-01") / 1e6)
+        assert report.deleted == 3
+        assert sorted(p.name for p in local.glob("*.flows")) == ["s1_2025-08-02-00.flows"]
+
+    def test_retention_keeps_the_log_of_a_day_being_sealed(self, tmp_path):
+        """A block is logged before its hour's meta is written; a sync in
+        between, early in the day, must not take the log for an orphan."""
+        local = tmp_path / "local"
+        w = HourlyWriter(local, "s1")
+        w.append(record(H10))
+        w.close()
+        (local / "s1_2025-08-01-10.pcap.meta.json").unlink()  # as if the seal were still writing it
+        sync(SyncPolicy(retention_hours=1), local, LocalLake(tmp_path / "lake"), now=H10 / 1e6 + 7200)
+        assert (local / "s1_2025-08-01-10.flows").exists()
 
     def test_second_sync_skips_uploaded(self, tmp_path):
         local, _ = make_sealed_dir(tmp_path, n_files=2)
@@ -387,6 +437,10 @@ def test_lake_writes_no_flow_log_it_cannot_vouch_for(tmp_path):
     assert log.exists()
     upload(b"not a pcap at all")
     assert not log.exists()
+    upload(good.read_bytes())
+    upload(b"no pcap magic, and more bytes than a pcap header holds" * 4000)  # the walk stops early
+    assert not log.exists()
+    assert lake.verified_hash("s1", bucket)
     upload(good.read_bytes())
     assert log.exists()
     next_day = tmp_path / "next_day.pcap"
