@@ -532,7 +532,8 @@ def _drop_dead_flow_logs(directory, cutoff: float) -> None:
 
     A writer names a log <sensor>_<first bucket it sealed>.flows and starts
     a new one each UTC day, so the name says which traces it serves. The
-    cutoff keeps the log of a day whose first hour is being sealed.
+    cutoff spares a log whose first block is written while its hour's
+    meta is not yet, as during a seal.
     """
     directory = Path(directory)
     live = {(meta.sensor_id, meta.hour_bucket[:10]) for _, meta in list_sealed(directory)}
