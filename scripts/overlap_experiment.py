@@ -55,14 +55,16 @@ def main():
     report = simnet.run(config)
     print(f"simulated {len(report.ground_truth)} packets in {time.monotonic() - started:.1f}s")
 
-    sensor_flows = {}
-    for sensor_id, path in report.paths.items():
-        flows = []
-        for day, pkts in sorted(analysis.bucket_by_day(path.captured).items()):
-            flows.extend(analysis.aggregate_flows(pkts, day))
-        sensor_flows[sensor_id] = flows
+    # one flow table per sensor, keyed (day number, integer 5-tuple)
+    sensor_tables = {
+        sensor_id: analysis.flow_table(
+            (p.ts, p.src_ip, p.dst_ip, p.proto, p.src_port, p.dst_port, p.tcp_flags, p.payload_len)
+            for p in path.captured
+        )
+        for sensor_id, path in report.paths.items()
+    }
 
-    matrix = analysis.common_sender_ratio(sensor_flows, window_days=15,
+    matrix = analysis.common_sender_ratio(sensor_tables, window_days=15,
                                           min_packets=args.min_packets)
     print(f"\ncommon-sender ratio (min_packets={args.min_packets}):")
     header = "        " + "  ".join(f"{s:>6s}" for s in matrix.sensors)
@@ -70,7 +72,7 @@ def main():
     for sensor, row in zip(matrix.sensors, matrix.ratio):
         print(f"{sensor:>6s}  " + "  ".join(f"{v:6.3f}" for v in row))
 
-    counts = analysis.unique_senders(sensor_flows)
+    counts = analysis.unique_senders(sensor_tables)
     print("\nunique senders per sensor:", counts.per_sensor)
     print("global union:", counts.global_count,
           f"(sum of per-sensor: {sum(counts.per_sensor.values())})")
@@ -78,15 +80,14 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_overlap_csv(out / "overlap.csv", matrix)
-    all_flows = [f for flows in sensor_flows.values() for f in flows]
-    analysis.write_flows_csv(out / "flows.csv", all_flows)
-    analysis.write_portcdf_csv(out / "portcdf.csv", analysis.port_cdf(all_flows))
-    days = sorted({f.day for f in all_flows})
+    analysis.write_flows_csv(out / "flows.csv", sensor_tables.values())
+    analysis.write_portcdf_csv(out / "portcdf.csv", analysis.port_cdf(sensor_tables.values()))
+    days = analysis.flow_days(sensor_tables.values())
     series = {
         sensor_id: analysis.flows_per_ip_series(
-            sensor_flows[sensor_id], sim_sensor.ranges[0], days
+            sensor_tables[sensor_id], sim_sensor.ranges[0], days
         )
-        for sensor_id, sim_sensor in zip(sorted(sensor_flows), config.sensors)
+        for sensor_id, sim_sensor in zip(sorted(sensor_tables), config.sensors)
     }
     analysis.write_timeline_csv(out / "timeline.csv", series)
     (out / "counters.json").write_text(json.dumps(report.counters, indent=2, sort_keys=True))

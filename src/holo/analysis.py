@@ -2,8 +2,10 @@
 
 5-tuple flow aggregation per UTC day, per-address daily flow series,
 sender-overlap matrices between sensors, destination-port CDFs, unique
-sender counts, and backscatter classification. Everything here is pure
-and deterministic: identical inputs give byte-identical CSV/JSON output.
+sender counts, and backscatter classification. The metrics reduce flow
+tables (see flow_table) keyed by integers; dotted quads and day names are
+rendered once per output row, not per flow. Everything here is pure and
+deterministic: identical inputs give byte-identical CSV/JSON output.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -242,22 +245,33 @@ class DayStat:
     total: int
 
 
-def flows_per_ip_series(
-    flows: Iterable[FlowRecord], subnet: AddressRange, days: list[str]
-) -> list[DayStat]:
+def day_number(day: str) -> int:
+    """The number flow tables key a UTC day by: days since the epoch."""
+    return day_bounds_us(day)[0] // DAY_US
+
+
+def flow_days(tables: Iterable[dict]) -> list[str]:
+    """The UTC days the flows of the given flow tables fall on, in order."""
+    numbers: set[int] = set()
+    for table in tables:
+        numbers.update(map(itemgetter(0), table))
+    return [day_of(n * DAY_US) for n in sorted(numbers)]
+
+
+def flows_per_ip_series(table: dict, subnet: AddressRange, days: list[str]) -> list[DayStat]:
     """Per-day flow counts over every address of a /24, zero days included."""
     if subnet.prefix_len != 24:
         raise AnalysisError("flow series are compared per /24 sensor unit")
-    per_day: dict[str, dict[str, int]] = {day: {} for day in days}
-    members = set(subnet.addresses())  # dotted, as flow keys carry them
-    for rec in flows:
-        if rec.day in per_day and rec.key.dst_ip in members:
-            counts = per_day[rec.day]
-            counts[rec.key.dst_ip] = counts.get(rec.key.dst_ip, 0) + 1
+    per_day: dict[int, dict[int, int]] = {day_number(day): {} for day in days}
+    lo, hi = subnet.base_int, subnet.last_int
+    for day, _, dst, _, _, _ in table:
+        counts = per_day.get(day)
+        if counts is not None and lo <= dst <= hi:
+            counts[dst] = counts.get(dst, 0) + 1
     out = []
     n_addrs = subnet.num_addresses()
     for day in days:
-        counts = per_day[day]
+        counts = per_day[day_number(day)]
         values = list(counts.values())
         total = sum(values)
         out.append(
@@ -284,45 +298,55 @@ class OverlapMatrix:
 
 
 def qualifying_senders(
-    flows: Iterable[FlowRecord],
+    table: dict,
     window_days: list[str],
     min_packets: int,
     top_fraction: Optional[float] = None,
 ) -> set[str]:
-    """Senders with at least min_packets packets inside the window.
+    """Dotted addresses of the senders with at least min_packets packets
+    inside the window.
 
     With top_fraction set, additionally keep only the top fraction of the
-    qualifying set ranked by packet count (ties broken by address).
+    qualifying set ranked by packet count (ties broken by dotted address,
+    so "9.0.0.10" ranks before "9.0.0.2"). Only the senders kept, and
+    those tied at the cut, are rendered.
     """
-    window = set(window_days)
-    per_sender: dict[str, int] = {}
-    for rec in flows:
-        if rec.day in window:
-            per_sender[rec.key.src_ip] = per_sender.get(rec.key.src_ip, 0) + rec.packets
-    keep = {ip for ip, n in per_sender.items() if n >= min_packets}
-    if top_fraction is not None and keep:
-        k = math.floor(top_fraction * len(keep))
-        ranked = sorted(keep, key=lambda ip: (-per_sender[ip], ip))
-        keep = set(ranked[:k])
-    return keep
+    window = {day_number(day) for day in window_days}
+    per_sender: dict[int, int] = {}
+    get = per_sender.get
+    for key, rec in table.items():
+        if key[0] in window:
+            src = key[1]
+            per_sender[src] = get(src, 0) + rec[0]
+    keep = [src for src, n in per_sender.items() if n >= min_packets]
+    if top_fraction is None or not keep:
+        return {int_to_ip(src) for src in keep}
+    k = math.floor(top_fraction * len(keep))
+    k = len(range(len(keep))[:k])  # as many as a slice [:k] of the ranking holds
+    if not k:
+        return set()
+    cut = sorted((per_sender[src] for src in keep), reverse=True)[k - 1]
+    above = {int_to_ip(src) for src in keep if per_sender[src] > cut}
+    tied = sorted(int_to_ip(src) for src in keep if per_sender[src] == cut)
+    return above | set(tied[: k - len(above)])
 
 
 def common_sender_ratio(
-    sensor_flows: dict[str, list[FlowRecord]],
+    sensor_tables: dict[str, dict],
     window_days: int = 15,
     min_packets: int = 500,
     top_fraction: Optional[float] = None,
     window_start: Optional[str] = None,
     mode: str = "row",
 ) -> OverlapMatrix:
-    """Sender-set overlap between sensors over the window.
+    """Sender-set overlap between sensors' flow tables over the window.
 
     ratio[i][j] = |S_i ∩ S_j| / |S_i| (row-normalized); rows with an
     empty qualifying set are all zero including the diagonal.
     """
-    if len(sensor_flows) < 2:
+    if len(sensor_tables) < 2:
         raise AnalysisError("need at least two sensors to compare")
-    all_days = sorted({rec.day for flows in sensor_flows.values() for rec in flows})
+    all_days = flow_days(sensor_tables.values())
     if not all_days:
         raise WindowEmpty("no flows in any sensor")
     start = window_start or all_days[0]
@@ -330,9 +354,9 @@ def common_sender_ratio(
     if not any(d in set(days) for d in all_days):
         raise WindowEmpty(f"no flows within {days[0]}..{days[-1]}")
 
-    sensors = sorted(sensor_flows)
+    sensors = sorted(sensor_tables)
     sets = {
-        s: qualifying_senders(sensor_flows[s], days, min_packets, top_fraction)
+        s: qualifying_senders(sensor_tables[s], days, min_packets, top_fraction)
         for s in sensors
     }
     ratio = []
@@ -391,25 +415,19 @@ class PortDistribution:
         return sum(n for p, n in self.counts.items() if p <= port) / total
 
 
-def port_cdf(items: Iterable, weight: str = WEIGHT_PACKETS) -> PortDistribution:
-    """Cumulative traffic share by TCP destination port.
+def port_cdf(tables: Iterable[dict], weight: str = WEIGHT_PACKETS) -> PortDistribution:
+    """Cumulative traffic share by TCP destination port over flow tables.
 
-    Accepts FlowRecords or PacketRecords; the default weighting counts
-    packets, "flows" counts each flow once.
+    The default weighting counts packets, "flows" counts each flow once.
     """
+    by_packets = weight == WEIGHT_PACKETS
     counts: dict[int, int] = {}
-    for item in items:
-        if isinstance(item, FlowRecord):
-            if item.key.proto != PROTO_TCP:
-                continue
-            port = item.key.dst_port
-            w = item.packets if weight == WEIGHT_PACKETS else 1
-        else:
-            if item.proto != PROTO_TCP:
-                continue
-            port = item.dst_port
-            w = 1
-        counts[port] = counts.get(port, 0) + w
+    get = counts.get
+    for table in tables:
+        for key, rec in table.items():
+            if key[3] == PROTO_TCP:
+                port = key[5]
+                counts[port] = get(port, 0) + (rec[0] if by_packets else 1)
     return PortDistribution(counts=counts, weight=weight)
 
 
@@ -437,14 +455,13 @@ class SenderCounts:
     global_count: int
 
 
-def unique_senders(
-    sensor_flows: dict[str, list[FlowRecord]], day: Optional[str] = None
-) -> SenderCounts:
+def unique_senders(sensor_tables: dict[str, dict], day: Optional[str] = None) -> SenderCounts:
     """Distinct source addresses per sensor and across the deployment (union)."""
+    number = None if day is None else day_number(day)
     per_sensor = {}
-    union: set[str] = set()
-    for sensor, flows in sorted(sensor_flows.items()):
-        senders = {rec.key.src_ip for rec in flows if day is None or rec.day == day}
+    union: set[int] = set()
+    for sensor, table in sorted(sensor_tables.items()):
+        senders = {key[1] for key in table if number is None or key[0] == number}
         per_sensor[sensor] = len(senders)
         union |= senders
     return SenderCounts(per_sensor=per_sensor, global_count=len(union))
@@ -458,16 +475,28 @@ FLOWS_HEADER = [
 ]
 
 
-def write_flows_csv(path, flows: Iterable[FlowRecord]) -> None:
+def write_flows_csv(path, tables: Iterable[dict]) -> int:
+    """Write the flows of each flow table in turn, each sorted by day, then
+    by FlowKey.sort_key, and return the number of rows.
+
+    Rows are formatted as they are written, each address and day rendered
+    once; csv.writer took twice as long, and no field (ints, dotted quads,
+    ISO days) needs quoting.
+    """
+    quad = cache(int_to_ip)
+    day_name = cache(lambda day: day_of(day * DAY_US))
+    rows = 0
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FLOWS_HEADER)
-        for rec in flows:
-            k = rec.key
-            w.writerow(
-                [rec.day, k.src_ip, k.dst_ip, k.proto, k.src_port, k.dst_port,
-                 rec.packets, rec.bytes, rec.first_ts, rec.last_ts, rec.flags_seen]
-            )
+        write = fh.write
+        write(",".join(FLOWS_HEADER) + "\r\n")
+        for table in tables:
+            for key in sorted(table):
+                day, src, dst, proto, sport, dport = key
+                packets, nbytes, first_ts, last_ts, flags = table[key]
+                write(f"{day_name(day)},{quad(src)},{quad(dst)},{proto},{sport},{dport},"
+                      f"{packets},{nbytes},{first_ts},{last_ts},{flags}\r\n")
+            rows += len(table)
+    return rows
 
 
 def write_overlap_csv(path, matrix: OverlapMatrix) -> None:

@@ -67,11 +67,13 @@ def cmd_controller(args) -> int:
     controller.hub_address = server.address
     # SIGTERM raises KeyboardInterrupt in the main thread, as Ctrl-C does
     signal.signal(signal.SIGTERM, signal.default_int_handler)
-    print(f"controller listening on {server.address} (data: {data_dir})", flush=True)
     try:
+        # inside the try: a SIGTERM sent as soon as the banner is read must
+        # still close the controller
+        print(f"controller listening on {server.address} (data: {data_dir})", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
-        server.stop()
+        server.close()
     finally:
         controller.close()
     return 0
@@ -117,8 +119,8 @@ def cmd_agent(args) -> int:
     proc = AgentProcess(identity, core, hub_address=args.hub)
     proc.connect()
     signal.signal(signal.SIGTERM, signal.default_int_handler)
-    print(f"agent {identity.sensor_id} connected to {proc.hub_address}", flush=True)
     try:
+        print(f"agent {identity.sensor_id} connected to {proc.hub_address}", flush=True)
         if args.oneshot:
             proc.heartbeat_once()
         else:
@@ -178,6 +180,10 @@ def cmd_sim_run(args) -> int:
         for s in config.sensors
     }
     report = simnet.run(config, writers=writers)
+    dropped = sum(w.dropped for w in writers.values())
+    if dropped:  # a writer never reopens an hour an earlier run sealed
+        print(f"warning: {dropped} packets not written: {out / 'traces'} holds hours "
+              "an earlier run sealed", file=sys.stderr)
     report.dump_jsonl(out / "ground_truth.jsonl")
     (out / "counters.json").write_text(json.dumps(report.counters, sort_keys=True, indent=2))
     for sensor_id, path_obj in report.paths.items():
@@ -206,8 +212,9 @@ def cmd_sim_run(args) -> int:
     return 0
 
 
-def _sensor_flows(in_dir: Path) -> dict:
-    """Per-sensor flows of the sealed traces under in_dir (local or lake layout).
+def _sensor_flows(in_dir: Path) -> dict[str, dict]:
+    """Per-sensor flow tables (see analysis.flow_table) of the sealed traces
+    under in_dir (local or lake layout).
 
     A trace for whose content hash a flow log in its directory holds a
     complete block is merged from that block; any other trace is walked
@@ -229,20 +236,19 @@ def _sensor_flows(in_dir: Path) -> dict:
     for walked in unmerged.values():
         for pcap_path, meta in walked:
             analysis.flow_table(analysis.trace_packets([pcap_path]), tables[meta.sensor_id])
-    return {sensor: analysis.render_flows(table) for sensor, table in tables.items()}
+    return tables
 
 
 def cmd_analyze(args) -> int:
-    sensor_flows = _sensor_flows(Path(args.input))
+    tables = _sensor_flows(Path(args.input))
     out = Path(args.out)
 
     if args.metric == "flows":
-        flows = [f for sensor in sorted(sensor_flows) for f in sensor_flows[sensor]]
-        analysis.write_flows_csv(out, flows)
-        _emit(args, {"flows": len(flows), "out": str(out)}, f"{len(flows)} flows -> {out}")
+        n_flows = analysis.write_flows_csv(out, [tables[sensor] for sensor in sorted(tables)])
+        _emit(args, {"flows": n_flows, "out": str(out)}, f"{n_flows} flows -> {out}")
     elif args.metric == "overlap":
         matrix = analysis.common_sender_ratio(
-            sensor_flows,
+            tables,
             window_days=args.window_days,
             min_packets=args.min_packets,
             top_fraction=args.top_fraction,
@@ -255,12 +261,8 @@ def cmd_analyze(args) -> int:
             f"overlap matrix for {len(matrix.sensors)} sensors -> {out}",
         )
     elif args.metric == "portcdf":
-        items = []
-        for sensor in sorted(sensor_flows):
-            if args.sensor and sensor != args.sensor:
-                continue
-            items.extend(sensor_flows[sensor])
-        dist = analysis.port_cdf(items, weight=args.weight)
+        chosen = [tables[s] for s in sorted(tables) if not args.sensor or s == args.sensor]
+        dist = analysis.port_cdf(chosen, weight=args.weight)
         if dist.empty:
             print("warning: no TCP traffic in input", file=sys.stderr)
         analysis.write_portcdf_csv(out, dist)
@@ -273,7 +275,7 @@ def cmd_analyze(args) -> int:
         subnets = {}
         sensors_json = Path(args.input) / "sensors.json"
         if args.subnet:
-            only = args.sensor or sorted(sensor_flows)[0]
+            only = args.sensor or sorted(tables)[0]
             subnets[only] = analysis.AddressRange.parse(args.subnet)
         elif sensors_json.exists():
             for doc in json.loads(sensors_json.read_text()):
@@ -284,11 +286,11 @@ def cmd_analyze(args) -> int:
                         break
         else:
             raise SystemExit("error: timeline needs --subnet or a sensors.json in the input dir")
-        days = sorted({f.day for flows in sensor_flows.values() for f in flows})
+        days = analysis.flow_days(tables.values())
         series = {}
         for sensor, subnet in sorted(subnets.items()):
-            if sensor in sensor_flows and days:
-                series[sensor] = analysis.flows_per_ip_series(sensor_flows[sensor], subnet, days)
+            if sensor in tables and days:
+                series[sensor] = analysis.flows_per_ip_series(tables[sensor], subnet, days)
         analysis.write_timeline_csv(out, series)
         Path(str(out) + ".json").write_text(
             json.dumps({"subnets": {s: str(r) for s, r in subnets.items()}, "days": days},

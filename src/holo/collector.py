@@ -140,6 +140,10 @@ class HourlyWriter:
     reads nothing back. disk_budget bounds the bytes of the frames and of
     the flow-log rows the writer stores; the fixed headers of each hour's
     files are not counted. Once a frame would exceed it, capture pauses.
+
+    An hour whose trace is sealed already, by an earlier writer for the
+    same sensor and directory, is never reopened: its packets are dropped
+    and counted in dropped, and on_event hears of it once.
     """
 
     def __init__(
@@ -160,7 +164,8 @@ class HourlyWriter:
         self.on_event = on_event or (lambda event: None)
         self.sealed: list[TraceFileMeta] = []
         self.dropped = 0
-        self._paused = False
+        self._paused = False  # drop packets: the disk is full or the hour refused
+        self._disk_full = False
         self._bucket: Optional[str] = None
         self._hour: Optional[int] = None  # ts // HOUR_US of the open file
         self._fh = None
@@ -172,17 +177,23 @@ class HourlyWriter:
         self._flows: dict = {}  # the open hour's flow rows, by integer 5-tuple
         self._flow_log: Optional[tuple[str, Path]] = None  # (UTC day, this writer's log for it)
 
-    def _open(self, bucket: str) -> None:
+    def _open(self, bucket: str) -> bool:
+        """Open bucket's trace; False, with no file open, if it is sealed."""
         path = self.directory / trace_filename(self.sensor_id, bucket)
+        self._bucket = bucket
+        self._last_meta = None
+        if os.path.exists(str(path) + ".meta.json"):
+            self._fh = None
+            self.on_event({"event": "hour-sealed", "sensor": self.sensor_id, "bucket": bucket})
+            return False
         self._fh = open(path, "wb")
         header = global_header(self.link_type)
         self._fh.write(header)
         self._sha = hashlib.sha256(header)
         self._flows = {}
-        self._bucket = bucket
         self._count = 0
         self._bytes = 0
-        self._last_meta = None
+        return True
 
     def _seal_open_file(self) -> TraceFileMeta:
         self._fh.close()
@@ -219,34 +230,40 @@ class HourlyWriter:
         """
         day = self._bucket[:10]
         if self._flow_log is None or self._flow_log[0] != day:
+            # a log left by an earlier writer is never truncated or appended
+            # to (it may end in a torn block): this writer starts its own
             path = self.directory / f"{self.sensor_id}_{self._bucket}.flows"
-            self._flow_log, mode = (day, path), "wb"
-        else:
-            mode = "ab"
-        with open(self._flow_log[1], mode) as fh:
+            n = 0
+            while path.exists():
+                n += 1
+                path = self.directory / f"{self.sensor_id}_{self._bucket}.{n}.flows"
+            self._flow_log = (day, path)
+        with open(self._flow_log[1], "ab") as fh:
             fh.write(analysis.encode_flow_block(self._flows.items(), meta.content_hash))
 
     def append(self, pkt: PacketRecord, raw: Optional[bytes] = None) -> None:
         """Write one packet; rotation is driven purely by pkt.ts."""
-        if self._paused:
+        if self._paused and (self._disk_full or pkt.ts // HOUR_US == self._hour):
             self.dropped += 1
             return
         hour = pkt.ts // HOUR_US
         if hour != self._hour:
             bucket = hour_bucket(pkt.ts)
-            if self._bucket is None:
-                self._open(bucket)
-            else:
+            if self._bucket is not None:
                 if hour < self._hour:
                     raise CollectorError(
                         f"timestamp went backwards across files ({bucket} < {self._bucket})"
                     )
-                self._seal_open_file()
-                for gap in range(self._hour + 1, hour):
-                    self._open(hour_bucket(gap * HOUR_US))
+                if self._fh is not None:
                     self._seal_open_file()
-                self._open(bucket)
+                for gap in range(self._hour + 1, hour):
+                    if self._open(hour_bucket(gap * HOUR_US)):
+                        self._seal_open_file()
             self._hour = hour
+            self._paused = not self._open(bucket)
+            if self._paused:
+                self.dropped += 1
+                return
         ts = pkt.ts
         data = raw if raw is not None else encode_record(pkt)
         frame = packet_header(ts, len(data)) + data
@@ -265,7 +282,7 @@ class HourlyWriter:
             if rec is None:
                 size += analysis.FLOW_ROW_SIZE  # the row the hour's block gains
         if self.disk_budget is not None and self._written + size > self.disk_budget:
-            self._paused = True
+            self._paused = self._disk_full = True
             self.dropped += 1
             self.on_event({"event": "disk-full", "sensor": self.sensor_id, "bucket": self._bucket})
             return

@@ -109,8 +109,17 @@ class HubServer:
         self._thread.start()
 
     def stop(self) -> None:
-        """Close the listener and end every accepted connection."""
+        """Stop serve_forever running in another thread, then close."""
         self._server.shutdown()
+        self.close()
+
+    def close(self) -> None:
+        """Close the listener and end every accepted connection.
+
+        Unlike stop, this does not wait for serve_forever, so it is safe
+        where serve_forever never ran or has returned; stop would wait
+        forever there.
+        """
         self._server.server_close()
         with self._conns_lock:
             self._stopped = True

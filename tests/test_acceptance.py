@@ -25,6 +25,8 @@ from holo.controlplane import (
 from holo.packets import PROTO_TCP, TCP_RST, TCP_SYN, TCP_ACK, FlowKey, PacketRecord
 from holo.simnet import ScannerProfile, SimConfig, SimSensor, scripted_client
 
+from flow_reference import tables_of
+
 ADMIN = Principal("admin", cp.ROLE_ADMIN)
 
 
@@ -92,7 +94,7 @@ def test_criterion_02_overlap_oracle_and_threshold(two_day_run):
     """Overlap matrix equals set enumeration; 499-packet sender excluded."""
     _, run_report, flows, _ = two_day_run
     min_packets = 500
-    matrix = analysis.common_sender_ratio(flows, window_days=15, min_packets=min_packets)
+    matrix = analysis.common_sender_ratio(tables_of(flows), window_days=15, min_packets=min_packets)
 
     # set-enumeration oracle straight from the ground-truth registry
     per_sensor_counts: dict[str, Counter] = {s: Counter() for s in ("s1", "s2", "s3")}

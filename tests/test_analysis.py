@@ -50,6 +50,9 @@ from holo.packets import (
 from holo.collector import REDACT_TRUNCATE, HourlyWriter, LocalLake, SyncPolicy, sync
 from holo.pcapio import read_pcap
 
+import flow_reference
+from flow_reference import packet_table, rendered, table_of, tables_of
+
 DAY = "2025-08-01"
 DAY_US = day_bounds_us(DAY)[0]
 
@@ -162,41 +165,41 @@ class TestFlowsPerIp:
     def test_zero_day_present_not_missing(self):
         days = day_range(DAY, 3)
         flows = [flow("1.1.1.1", day=DAY)]
-        series = flows_per_ip_series(flows, SUBNET, days)
+        series = flows_per_ip_series(table_of(flows), SUBNET, days)
         assert [s.day for s in series] == days
         assert series[1].total == 0 and series[1].mean == 0.0
 
     def test_uniform_rate_exact_mean(self):
         # one flow per address -> mean exactly 1.0
         flows = [flow("1.1.1.1", dst=f"10.9.0.{i}", sport=2000 + i) for i in range(256)]
-        series = flows_per_ip_series(flows, SUBNET, [DAY])
+        series = flows_per_ip_series(table_of(flows), SUBNET, [DAY])
         assert series[0].mean == 1.0
         assert series[0].min == 1 and series[0].max == 1
 
     def test_single_hot_address(self):
         flows = [flow("1.1.1.1", dst="10.9.0.7", sport=3000 + i) for i in range(512)]
-        series = flows_per_ip_series(flows, SUBNET, [DAY])
+        series = flows_per_ip_series(table_of(flows), SUBNET, [DAY])
         assert series[0].max == 512
         assert series[0].mean == 512 / 256
         assert series[0].min == 0
 
     def test_requires_slash24(self):
         with pytest.raises(AnalysisError):
-            flows_per_ip_series([], AddressRange.parse("10.9.0.0/23"), [DAY])
+            flows_per_ip_series({}, AddressRange.parse("10.9.0.0/23"), [DAY])
 
 
 class TestOverlap:
     def test_identical_sender_sets_all_ones(self):
         flows_a = [flow(f"1.1.1.{i}", packets=600) for i in range(5)]
         flows_b = [flow(f"1.1.1.{i}", packets=700, dst="10.9.1.1") for i in range(5)]
-        m = common_sender_ratio({"a": flows_a, "b": flows_b}, min_packets=500)
+        m = common_sender_ratio(tables_of({"a": flows_a, "b": flows_b}), min_packets=500)
         assert m.ratio == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_set_enumeration_oracle(self):
         # S_a = {a,b,c}, S_b = {b,c,d} -> both directed ratios 2/3
         flows_a = [flow(ip, packets=500) for ip in ("9.0.0.1", "9.0.0.2", "9.0.0.3")]
         flows_b = [flow(ip, packets=500) for ip in ("9.0.0.2", "9.0.0.3", "9.0.0.4")]
-        m = common_sender_ratio({"a": flows_a, "b": flows_b}, min_packets=500)
+        m = common_sender_ratio(tables_of({"a": flows_a, "b": flows_b}), min_packets=500)
         assert m.ratio[0][1] == pytest.approx(2 / 3)
         assert m.ratio[1][0] == pytest.approx(2 / 3)
         assert m.ratio[0][0] == 1.0 and m.ratio[1][1] == 1.0
@@ -204,19 +207,19 @@ class TestOverlap:
     def test_threshold_boundary_499_out_500_in(self):
         flows_a = [flow("9.0.0.1", packets=499), flow("9.0.0.2", packets=500)]
         flows_b = [flow("9.0.0.2", packets=500)]
-        m = common_sender_ratio({"a": flows_a, "b": flows_b}, min_packets=500)
+        m = common_sender_ratio(tables_of({"a": flows_a, "b": flows_b}), min_packets=500)
         assert m.sender_sets["a"] == {"9.0.0.2"}
         assert m.ratio[0][1] == 1.0
 
     def test_packets_summed_across_flows_in_window(self):
         # 250 + 250 packets from the same sender clear the 500 threshold
         flows_a = [flow("9.0.0.1", packets=250, dport=22), flow("9.0.0.1", packets=250, dport=23)]
-        assert qualifying_senders(flows_a, [DAY], 500) == {"9.0.0.1"}
+        assert qualifying_senders(table_of(flows_a), [DAY], 500) == {"9.0.0.1"}
 
     def test_empty_qualifying_row_is_zero_including_diagonal(self):
         flows_a = [flow("9.0.0.1", packets=1)]
         flows_b = [flow("9.0.0.2", packets=999)]
-        m = common_sender_ratio({"a": flows_a, "b": flows_b}, min_packets=500)
+        m = common_sender_ratio(tables_of({"a": flows_a, "b": flows_b}), min_packets=500)
         assert m.ratio[0] == [0.0, 0.0]
         assert m.ratio[1][1] == 1.0
 
@@ -224,31 +227,31 @@ class TestOverlap:
         far = "2025-09-15"
         flows_a = [flow("9.0.0.1", packets=999), flow("9.0.0.9", packets=999, day=far)]
         flows_b = [flow("9.0.0.1", packets=999)]
-        m = common_sender_ratio({"a": flows_a, "b": flows_b}, window_days=15, min_packets=500)
+        m = common_sender_ratio(tables_of({"a": flows_a, "b": flows_b}), window_days=15, min_packets=500)
         assert m.sender_sets["a"] == {"9.0.0.1"}
 
     def test_window_empty(self):
         with pytest.raises(WindowEmpty):
-            common_sender_ratio({"a": [], "b": []})
+            common_sender_ratio({"a": {}, "b": {}})
 
     def test_needs_two_sensors(self):
         with pytest.raises(AnalysisError):
-            common_sender_ratio({"a": [flow("9.0.0.1")]})
+            common_sender_ratio(tables_of({"a": [flow("9.0.0.1")]}))
 
     def test_top_fraction_keeps_heaviest(self):
         flows_a = [flow(f"9.0.0.{i}", packets=500 + i) for i in range(10)]
-        keep = qualifying_senders(flows_a, [DAY], 500, top_fraction=0.5)
+        keep = qualifying_senders(table_of(flows_a), [DAY], 500, top_fraction=0.5)
         assert keep == {f"9.0.0.{i}" for i in range(5, 10)}
 
     def test_monotonic_in_min_packets(self):
         flows_a = [flow(f"9.0.0.{i}", packets=100 * i) for i in range(10)]
-        sizes = [len(qualifying_senders(flows_a, [DAY], mp)) for mp in (0, 100, 300, 700, 1200)]
+        sizes = [len(qualifying_senders(table_of(flows_a), [DAY], mp)) for mp in (0, 100, 300, 700, 1200)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_jaccard_mode(self):
         flows_a = [flow(ip, packets=500) for ip in ("9.0.0.1", "9.0.0.2", "9.0.0.3")]
         flows_b = [flow(ip, packets=500) for ip in ("9.0.0.2", "9.0.0.3", "9.0.0.4")]
-        m = common_sender_ratio({"a": flows_a, "b": flows_b}, min_packets=500, mode="jaccard")
+        m = common_sender_ratio(tables_of({"a": flows_a, "b": flows_b}), min_packets=500, mode="jaccard")
         assert m.ratio[0][1] == pytest.approx(2 / 4)
         assert m.ratio[1][0] == pytest.approx(2 / 4)
 
@@ -256,7 +259,7 @@ class TestOverlap:
 class TestPortCdf:
     def test_point_mass_at_22(self):
         packets = [pkt(dport=22, sport=1000 + i, ts_off=i) for i in range(10)]
-        dist = port_cdf(packets)
+        dist = port_cdf([packet_table(packets)])
         assert dist.fraction_at(21) == 0.0
         assert dist.fraction_at(22) == 1.0
         assert dist.fraction_at(65535) == 1.0
@@ -264,7 +267,7 @@ class TestPortCdf:
     def test_forty_percent_jump_at_9200(self):
         packets = [pkt(dport=9200, sport=i, ts_off=i) for i in range(40)]
         packets += [pkt(dport=22, sport=i, ts_off=100 + i) for i in range(60)]
-        dist = port_cdf(packets)
+        dist = port_cdf([packet_table(packets)])
         assert dist.fraction_at(9200) - dist.fraction_at(9199) == pytest.approx(0.40)
 
     def test_empty_flagged(self):
@@ -274,20 +277,20 @@ class TestPortCdf:
 
     def test_non_tcp_ignored(self):
         packets = [pkt(proto=PROTO_UDP, dport=53, flags=0), pkt(dport=22)]
-        dist = port_cdf(packets)
+        dist = port_cdf([packet_table(packets)])
         assert set(dist.counts) == {22}
 
     def test_flow_weighting(self):
         flows = [flow("1.1.1.1", packets=100, dport=22), flow("1.1.1.2", packets=1, dport=23)]
-        by_packets = port_cdf(flows, weight="packets")
-        by_flows = port_cdf(flows, weight="flows")
+        by_packets = port_cdf([table_of(flows)], weight="packets")
+        by_flows = port_cdf([table_of(flows)], weight="flows")
         assert by_packets.counts == {22: 100, 23: 1}
         assert by_flows.counts == {22: 1, 23: 1}
 
     def test_monotone_reaching_one(self):
         rng = random.Random(5)
         packets = [pkt(dport=rng.randrange(1, 65536), sport=i % 60000, ts_off=i) for i in range(2000)]
-        cum = port_cdf(packets).cumulative()
+        cum = port_cdf([packet_table(packets)]).cumulative()
         fractions = [c for _, _, c in cum]
         assert fractions == sorted(fractions)
         assert fractions[-1] == 1.0
@@ -315,17 +318,17 @@ class TestBackscatter:
 
 class TestUniqueSenders:
     def test_disjoint_union(self):
-        counts = unique_senders({"a": [flow("9.0.0.1")], "b": [flow("9.0.0.2")]})
+        counts = unique_senders(tables_of({"a": [flow("9.0.0.1")], "b": [flow("9.0.0.2")]}))
         assert counts.per_sensor == {"a": 1, "b": 1}
         assert counts.global_count == 2
 
     def test_identical_sets(self):
-        counts = unique_senders({"a": [flow("9.0.0.1")], "b": [flow("9.0.0.1")]})
+        counts = unique_senders(tables_of({"a": [flow("9.0.0.1")], "b": [flow("9.0.0.1")]}))
         assert counts.global_count == 1
 
     def test_day_filter(self):
         flows_a = [flow("9.0.0.1"), flow("9.0.0.2", day="2025-08-02")]
-        counts = unique_senders({"a": flows_a}, day=DAY)
+        counts = unique_senders(tables_of({"a": flows_a}), day=DAY)
         assert counts.per_sensor["a"] == 1
 
 
@@ -351,7 +354,7 @@ def test_union_bound_property(sensor_srcs):
         sensor: [flow(f"9.0.0.{i}", packets=1) for i in srcs]
         for sensor, srcs in sensor_srcs.items()
     }
-    counts = unique_senders(sensor_flows)
+    counts = unique_senders(tables_of(sensor_flows))
     per = counts.per_sensor.values()
     assert max(per) <= counts.global_count <= sum(per)
 
@@ -363,7 +366,7 @@ def test_overlap_entries_within_unit_interval():
             for _ in range(50)]
         for s in ("s1", "s2", "s3")
     }
-    m = common_sender_ratio(sensor_flows, min_packets=300)
+    m = common_sender_ratio(tables_of(sensor_flows), min_packets=300)
     for row in m.ratio:
         for v in row:
             assert 0.0 <= v <= 1.0
@@ -378,14 +381,14 @@ def test_csv_outputs_byte_identical(tmp_path):
     ]
     flows = aggregate_flows(packets, DAY)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    analysis.write_flows_csv(out1, flows)
-    analysis.write_flows_csv(out2, aggregate_flows(list(reversed(packets)), DAY))
+    analysis.write_flows_csv(out1, [table_of(flows)])
+    analysis.write_flows_csv(out2, [table_of(aggregate_flows(list(reversed(packets)), DAY))])
     assert out1.read_bytes() == out2.read_bytes()
 
-    dist = port_cdf(packets)
+    dist = port_cdf([packet_table(packets)])
     p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
     analysis.write_portcdf_csv(p1, dist)
-    analysis.write_portcdf_csv(p2, port_cdf(list(reversed(packets))))
+    analysis.write_portcdf_csv(p2, port_cdf([packet_table(list(reversed(packets)))]))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -529,7 +532,7 @@ def _merged_flow_logs(root, rnd=None) -> dict:
 
 
 def _flows_csv(path, sensor_flows) -> bytes:
-    analysis.write_flows_csv(path, [f for s in sorted(sensor_flows) for f in sensor_flows[s]])
+    analysis.write_flows_csv(path, [table_of(sensor_flows[s]) for s in sorted(sensor_flows)])
     return Path(path).read_bytes()
 
 
@@ -578,7 +581,7 @@ def test_hourly_flow_blocks_merge_to_build_flows(ethernet, specs, start, rnd):
         days = {m.hour_bucket[:10] for m in writer.sealed}
         assert len(list(traces.glob("*.flows"))) == len(days)  # one log per UTC day
         assert _merged_flow_logs(traces, rnd) == {"s1": expected}
-        assert cli._sensor_flows(traces) == {"s1": expected}
+        assert rendered(cli._sensor_flows(traces)) == {"s1": expected}
 
 
 def test_damaged_or_missing_flow_log_gives_the_walks_csv(tmp_path):
@@ -649,7 +652,134 @@ def test_redacted_lake_analyzes_like_the_unredacted_one(tmp_path, link_type):
     for lake in (plain, redacted):
         assert len(list(lake.root.rglob("*.flows"))) == 3  # one per hour
         assert _merged_flow_logs(lake.root) == _walked_flows(local)
-        assert _flows_csv(tmp_path / "lake.csv", cli._sensor_flows(lake.root)) == want
+        assert _flows_csv(tmp_path / "lake.csv", rendered(cli._sensor_flows(lake.root))) == want
         for log in lake.root.rglob("*.flows"):
             log.unlink()
-        assert _flows_csv(tmp_path / "lake.csv", cli._sensor_flows(lake.root)) == want
+        assert _flows_csv(tmp_path / "lake.csv", rendered(cli._sensor_flows(lake.root))) == want
+
+
+# --- table metrics against their FlowRecord references ----------------------------
+
+# addresses whose dotted and integer orders differ ("9.0.0.10" < "9.0.0.2")
+SENDERS = ["9.0.0.2", "9.0.0.10", "9.0.0.100", "9.0.0.9", "10.0.0.1", "198.51.100.7"]
+# both ends of the /24 and the addresses just outside it
+TARGETS = ["10.9.0.0", "10.9.0.255", "10.8.255.255", "10.9.1.0", "10.9.0.7"]
+FIRST_DAY = analysis.day_number(DAY)
+
+table_rows = st.tuples(
+    st.integers(0, 20),  # day offset: past the end of a 15-day window
+    st.sampled_from(SENDERS),
+    st.sampled_from(TARGETS),
+    st.sampled_from([PROTO_TCP, PROTO_TCP, PROTO_UDP, PROTO_ICMP]),
+    st.integers(1000, 1002),
+    st.sampled_from([22, 23, 445]),
+    st.sampled_from([1, 2, 499, 500]),  # packets: sums tie often
+)
+sensor_rows = st.dictionaries(st.sampled_from(["s1", "s2", "s3"]), st.lists(table_rows, max_size=30),
+                              min_size=2)
+
+
+def _tables(sensor_rows) -> dict:
+    tables = {}
+    for sensor, rows in sensor_rows.items():
+        table = tables[sensor] = {}
+        for off, src, dst, proto, sport, dport, packets in rows:
+            first = (FIRST_DAY + off) * analysis.DAY_US + sport
+            key = (FIRST_DAY + off, ip_to_int(src), ip_to_int(dst), proto, sport, dport)
+            table[key] = [packets, 40 * packets, first, first + packets, TCP_SYN]
+    return tables
+
+
+def _outcome(metric, *args, **kwargs):
+    """metric's result, or the type and text of the AnalysisError it raised."""
+    try:
+        return metric(*args, **kwargs)
+    except AnalysisError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sensor_rows=sensor_rows,
+    window_days=st.sampled_from([1, 2, 15]),
+    start=st.none() | st.integers(-2, 22),
+    min_packets=st.sampled_from([1, 2, 500, 501, 1000]),
+    # past [0, 1] too: the CLI takes any float, and a slice [:k] of the ranking decides
+    top_fraction=st.none() | st.sampled_from([-0.4, 0.0, 0.05, 0.3, 0.5, 0.99, 1.0, 1.5]),
+    mode=st.sampled_from(["row", "jaccard"]),
+)
+def test_overlap_of_tables_equals_the_flowrecord_reference(sensor_rows, window_days, start, min_packets,
+                                                           top_fraction, mode):
+    tables = _tables(sensor_rows)
+    flows = rendered(tables)
+    window_start = None if start is None else day_of((FIRST_DAY + start) * analysis.DAY_US)
+    kwargs = dict(window_days=window_days, min_packets=min_packets, top_fraction=top_fraction,
+                  window_start=window_start, mode=mode)
+    got = _outcome(common_sender_ratio, tables, **kwargs)
+    assert got == _outcome(flow_reference.ref_common_sender_ratio, flows, **kwargs)
+    window = day_range(window_start or day_of(FIRST_DAY * analysis.DAY_US), window_days)
+    for sensor in tables:
+        assert qualifying_senders(tables[sensor], window, min_packets, top_fraction) == \
+            flow_reference.ref_qualifying_senders(flows[sensor], window, min_packets, top_fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    packets=st.dictionaries(st.sampled_from(SENDERS[:4]), st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3),
+                            min_size=2),
+    top_fraction=st.sampled_from([0.25, 0.34, 0.5, 0.67, 0.75]),
+)
+def test_top_fraction_cut_among_tied_senders_equals_the_flowrecord_reference(packets, top_fraction):
+    table = {
+        (FIRST_DAY, ip_to_int(src), ip_to_int("10.9.0.1"), PROTO_TCP, 1000 + i, 22): [n, 0, 0, 0, 0]
+        for src, counts in packets.items() for i, n in enumerate(counts)
+    }
+    assert qualifying_senders(table, [DAY], 1, top_fraction) == \
+        flow_reference.ref_qualifying_senders(analysis.render_flows(table), [DAY], 1, top_fraction)
+
+
+def test_top_fraction_ties_break_on_the_dotted_address():
+    # equal packet counts: "9.0.0.10" < "9.0.0.2" as strings, not as integers
+    table = table_of([flow("9.0.0.2", packets=600), flow("9.0.0.10", packets=600), flow("9.0.0.1", packets=700)])
+    assert qualifying_senders(table, [DAY], 500, top_fraction=0.67) == {"9.0.0.1", "9.0.0.10"}
+    assert qualifying_senders(table, [DAY], 500, top_fraction=0.34) == {"9.0.0.1"}
+    assert qualifying_senders(table, [DAY], 600, top_fraction=0.5) == {"9.0.0.1"}
+    assert qualifying_senders(table, [DAY], 600, top_fraction=0.3) == set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sensor_rows=sensor_rows, weight=st.sampled_from(["packets", "flows"]))
+def test_port_cdf_of_tables_equals_the_flowrecord_reference(sensor_rows, weight):
+    tables = _tables(sensor_rows)
+    flows = rendered(tables)
+    for chosen in (sorted(tables), sorted(tables)[:1]):
+        got = port_cdf([tables[s] for s in chosen], weight=weight)
+        want = flow_reference.ref_port_cdf([f for s in chosen for f in flows[s]], weight=weight)
+        assert (got.counts, got.weight, got.cumulative()) == (want.counts, want.weight, want.cumulative())
+
+
+@settings(max_examples=100, deadline=None)
+@given(sensor_rows=sensor_rows, start=st.integers(-2, 20), n_days=st.integers(1, 4))
+def test_flow_series_of_tables_equal_the_flowrecord_reference(sensor_rows, start, n_days):
+    tables = _tables(sensor_rows)
+    flows = rendered(tables)
+    days = day_range(day_of((FIRST_DAY + start) * analysis.DAY_US), n_days)
+    for sensor, table in tables.items():
+        assert flows_per_ip_series(table, SUBNET, days) == \
+            flow_reference.ref_flows_per_ip_series(flows[sensor], SUBNET, days)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sensor_rows=sensor_rows, day=st.none() | st.integers(0, 20))
+def test_unique_senders_and_flows_csv_of_tables_equal_the_flowrecord_reference(sensor_rows, day):
+    tables = _tables(sensor_rows)
+    flows = rendered(tables)
+    day = None if day is None else day_of((FIRST_DAY + day) * analysis.DAY_US)
+    assert unique_senders(tables, day) == flow_reference.ref_unique_senders(flows, day)
+    assert analysis.flow_days(tables.values()) == sorted({f.day for s in flows for f in flows[s]})
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        assert analysis.write_flows_csv(got, [tables[s] for s in sorted(tables)]) == \
+            sum(len(t) for t in tables.values())
+        flow_reference.ref_write_flows_csv(want, [f for s in sorted(flows) for f in flows[s]])
+        assert got.read_bytes() == want.read_bytes()

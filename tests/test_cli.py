@@ -66,6 +66,60 @@ def test_controller_exits_0_on_sigterm(tmp_path):
     assert terminate(proc) == 0
 
 
+def test_controller_interrupted_at_its_banner_exits_0_and_closes(tmp_path, monkeypatch, capsys):
+    """A SIGTERM sent as soon as the banner is read (test_controller_exits_0_on_sigterm
+    sends one then) arrives as a KeyboardInterrupt before serve_forever runs;
+    the controller must still stop its listener, close, and return 0."""
+    import socket
+
+    from holo import cli, controlplane
+
+    closed = []
+    close = controlplane.Controller.close
+    monkeypatch.setattr(controlplane.Controller, "close", lambda self: (closed.append(self), close(self)))
+
+    def print_then_interrupt(*args, **kwargs):
+        print(*args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "print", print_then_interrupt, raising=False)
+
+    def hung(signum, frame):
+        raise TimeoutError("cmd_controller did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung), signal.getsignal(signal.SIGTERM)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code = cli.main(["controller", "--data-dir", str(tmp_path), "--listen", "127.0.0.1:0"])
+    except KeyboardInterrupt:  # escaping, it would end the whole test session
+        pytest.fail("the interrupt escaped cmd_controller")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous[0])
+        signal.signal(signal.SIGTERM, previous[1])
+    assert code == 0
+    assert len(closed) == 1 and closed[0]._log_fh is None
+    host, port = re.search(r"listening on (\S+):(\d+)", capsys.readouterr().out).groups()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, int(port)), timeout=5).close()
+
+
+def test_sim_run_into_sealed_traces_keeps_them_and_warns(tmp_path, capsys):
+    from holo import cli
+
+    doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "configs" / "sim-two-day.yaml").read_text())
+    doc["duration"] = 600
+    config = tmp_path / "sim.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "sim"
+    assert cli.main(["sim", "run", "-f", str(config), "--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    traces = {p.name: p.read_bytes() for p in (out / "traces").iterdir()}
+    assert cli.main(["sim", "run", "-f", str(config), "--out", str(out)]) == 0
+    assert "packets not written" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "traces").iterdir()} == traces
+
+
 def write_descriptor(path, sensor_id, org="org-a", honeypot=True, ranges=("10.9.1.0/24",)):
     doc = {
         "sensor_id": sensor_id,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from holo import collector
+from holo import analysis, collector
 from holo.collector import (
     HourlyWriter,
     LakeUnreachable,
@@ -25,6 +25,7 @@ from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_SYN, PacketRecord
 from holo.pcapio import read_pcap
 
 H10 = bucket_start_us("2025-08-01-10")
+HOUR_US = collector.HOUR_US
 
 
 def record(ts, dport=22):
@@ -166,6 +167,82 @@ class TestDiskFull:
         frames = sum(p.stat().st_size - 24 for p in pcaps)
         assert frames + FLOW_ROW_SIZE * sum(m.packet_count for m in w.sealed) == stored
         assert budget - (56 + FLOW_ROW_SIZE) < stored <= budget
+
+
+def _files(directory) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def _analyze_flows(directory, out) -> bytes:
+    from holo import cli
+
+    assert cli.main(["analyze", "flows", "--in", str(directory), "--out", str(out)]) == 0
+    return Path(out).read_bytes()
+
+
+class TestRestart:
+    def test_restarted_writer_never_rewrites_a_sealed_hour(self, tmp_path):
+        traces = tmp_path / "traces"
+        first = HourlyWriter(traces, "s1")
+        first.append(record(H10))
+        first.append(record(H10 + 1))
+        first.close()
+        sealed = _files(traces)
+        assert sorted(sealed) == ["s1_2025-08-01-10.flows", "s1_2025-08-01-10.pcap",
+                                  "s1_2025-08-01-10.pcap.meta.json"]
+        want = _analyze_flows(traces, tmp_path / "first.csv")
+
+        events = []
+        second = HourlyWriter(traces, "s1", on_event=events.append)
+        for i in range(3):
+            second.append(record(H10 + 10 + i, dport=23))
+        assert second.close() == []
+        assert second.dropped == 3
+        assert events == [{"event": "hour-sealed", "sensor": "s1", "bucket": "2025-08-01-10"}]
+        assert _files(traces) == sealed  # pcap, meta and flow log byte-identical
+        assert _analyze_flows(traces, tmp_path / "second.csv") == want
+
+    def test_restarted_writer_resumes_with_the_next_hour(self, tmp_path):
+        traces = tmp_path / "traces"
+        first = HourlyWriter(traces, "s1")
+        first.append(record(H10))
+        first.close()
+        sealed = _files(traces)
+        second = HourlyWriter(traces, "s1")
+        second.append(record(H10 + 5))  # refused: 10:00 is sealed
+        second.append(record(H10 + HOUR_US))  # gap-free next hour
+        second.append(record(H10 + 3 * HOUR_US))  # 12:00 sealed empty on the way
+        second.close()
+        assert second.dropped == 1
+        assert [m.hour_bucket for m in second.sealed] == ["2025-08-01-11", "2025-08-01-12", "2025-08-01-13"]
+        assert {name: _files(traces)[name] for name in sealed} == sealed
+        walked = tmp_path / "walked"  # the same traces without flow logs
+        walked.mkdir()
+        for name, data in _files(traces).items():
+            if not name.endswith(".flows"):
+                (walked / name).write_bytes(data)
+        assert _analyze_flows(traces, tmp_path / "a.csv") == _analyze_flows(walked, tmp_path / "b.csv")
+        header, row = _analyze_flows(traces, tmp_path / "a.csv").splitlines()
+        assert row.split(b",")[6] == b"3"  # one flow: the first writer's packet, two of the second's
+
+    def test_flow_log_left_by_a_crashed_writer_is_kept(self, tmp_path):
+        """A writer that died after logging an hour's block but before its
+        meta leaves a log named as the next writer would name its own; that
+        log is neither truncated nor appended to."""
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        torn = encode_flow_block([((1, 2, 6, 3, 4), [1, 0, H10, H10, 2])], "00" * 32)[:-5]
+        (traces / "s1_2025-08-01-10.flows").write_bytes(torn)
+        w = HourlyWriter(traces, "s1")
+        w.append(record(H10))
+        w.close()
+        assert (traces / "s1_2025-08-01-10.flows").read_bytes() == torn
+        (log,) = set(traces.glob("*.flows")) - {traces / "s1_2025-08-01-10.flows"}
+        assert log.name == "s1_2025-08-01-10.1.flows"
+        blocks = analysis.index_flow_logs([log])
+        assert list(blocks) == [(traces, w.sealed[0].content_hash)]
+        out = _analyze_flows(traces, tmp_path / "flows.csv")
+        assert out.splitlines()[1].startswith(b"2025-08-01,198.51.100.7,10.9.0.5,6,40000,22,1,")
 
 
 def make_sealed_dir(tmp_path, n_files=4, start="2025-08-01-10", packets_per=3):
@@ -448,7 +525,7 @@ def test_lake_writes_no_flow_log_it_cannot_vouch_for(tmp_path):
     upload(next_day.read_bytes())
     assert not log.exists()
     # the walk reads the packet's own day
-    (flow,) = cli._sensor_flows(lake.root)["s1"]
+    (flow,) = analysis.render_flows(cli._sensor_flows(lake.root)["s1"])
     assert flow.day == "2025-08-02"
 
 

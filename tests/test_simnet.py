@@ -18,6 +18,8 @@ from holo.simnet import (
     scripted_client,
 )
 
+from flow_reference import tables_of
+
 
 def two_sensor_config(seed=11, duration=600.0, mode="direct"):
     return SimConfig(
@@ -111,7 +113,7 @@ class TestGroundTruth:
             for day, pkts in analysis.bucket_by_day(caps).items():
                 flows.extend(analysis.aggregate_flows(pkts, day))
             sensor_flows[sensor] = flows
-        matrix = analysis.common_sender_ratio(sensor_flows, min_packets=10)
+        matrix = analysis.common_sender_ratio(tables_of(sensor_flows), min_packets=10)
         assert matrix.ratio == [[1.0, 1.0], [1.0, 1.0]]
         # ground-truth registry names exactly the scanner sources
         assert set(matrix.sender_sets["s1"]) == {"203.0.113.10", "203.0.113.11"}
