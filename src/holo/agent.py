@@ -23,7 +23,6 @@ from . import overlay
 from . import responder as responder_mod
 from . import toolbox
 from .hub import admin_request, pack_control, read_frame, unpack_control
-from .net import AddressRange, exclude_ranges
 
 log = logging.getLogger("holo.agent")
 
@@ -47,24 +46,12 @@ class ModuleInstance:
 
 
 def effective_darknet_config(spec: cp.ModuleSpec, specs: list[cp.ModuleSpec]) -> darknet_mod.DarknetConfig:
-    """Darknet config with any co-deployed responder ranges carved out.
-
-    Responder space must answer, so it can never sit under the darknet's
-    outbound drop rules.
-    """
-    config = darknet_mod.config_from_doc(spec.params)
-    holes = []
+    """Darknet config with any co-deployed responder ranges carved out."""
+    responders = []
     for other in specs:
         if other.module_kind == cp.KIND_RESPONDER:
-            holes.extend(AddressRange.parse(r) for r in other.params["ip_ranges"])
-    if not holes:
-        return config
-    carved = []
-    for rng in config.ranges:
-        carved.extend(exclude_ranges(rng, holes))
-    return darknet_mod.DarknetConfig(
-        ranges=tuple(carved), mode=config.mode, sensor_ip=config.sensor_ip
-    )
+            responders.extend(other.params["ip_ranges"])
+    return darknet_mod.carve_out_responders(darknet_mod.config_from_doc(spec.params), responders)
 
 
 def build_sensor_program(specs: list[cp.ModuleSpec], generation: int = 1):

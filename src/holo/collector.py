@@ -15,8 +15,9 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -29,7 +30,7 @@ from .packets import (
     encoded_headers,
     parse_headers,
 )
-from .pcapio import global_header, packet_header
+from .pcapio import GLOBAL_HEADER, global_header, packet_header, read_pcap
 from .toolbox import TokenBucket, allow
 
 HOUR_US = 3_600_000_000
@@ -120,14 +121,6 @@ def sealed_traces(root) -> list[tuple[Path, TraceFileMeta]]:
         pcap_path = meta_path.with_name(stem if stem.endswith(".pcap") else stem + ".pcap")
         out.append((pcap_path, read_meta(meta_path)))
     return out
-
-
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 class HourlyWriter:
@@ -370,7 +363,9 @@ class LocalLake:
     def put_chunk(self, sensor_id: str, bucket: str, offset: int, data: bytes) -> None:
         part = self._part(sensor_id, bucket)
         part.parent.mkdir(parents=True, exist_ok=True)
-        mode = "r+b" if part.exists() else "wb"
+        # at offset 0 a fresh part: a longer one left by another upload of
+        # this hour would otherwise keep its tail past the new bytes
+        mode = "r+b" if offset and part.exists() else "wb"
         with open(part, mode) as fh:
             fh.seek(offset)
             fh.write(data)
@@ -408,7 +403,7 @@ class LocalLake:
         if not pcap.exists() or not meta_path.exists():
             return None
         recorded = json.loads(meta_path.read_text())["content_hash"]
-        actual = _sha256_file(pcap)
+        actual, _ = _digest(_trace_chunks(pcap))
         return actual if actual == recorded else None
 
     def holdings(self) -> list[tuple[str, str]]:
@@ -438,24 +433,40 @@ class SyncReport:
     skipped: int = 0
     retried: int = 0
     bytes_sent: int = 0
-    cleaned: int = 0
 
 
-def _truncate_payloads(data: bytes) -> bytes:
-    """Redaction: keep only the first REDACT_SNAP bytes of every packet."""
-    from .pcapio import GLOBAL_HEADER, PACKET_HEADER
+def _trace_chunks(path, truncate: bool = False):
+    """Stream the trace at path, as sync uploads it, in pieces of up to
+    CHUNK_SIZE bytes, so memory holds a piece and not the hour.
 
-    out = bytearray(data[: GLOBAL_HEADER.size])
-    pos = GLOBAL_HEADER.size
-    while pos + PACKET_HEADER.size <= len(data):
-        sec, usec, incl, orig = PACKET_HEADER.unpack_from(data, pos)
-        pos += PACKET_HEADER.size
-        raw = data[pos : pos + incl]
-        pos += incl
-        snapped = raw[:REDACT_SNAP]
-        out += PACKET_HEADER.pack(sec, usec, len(snapped), orig)
-        out += snapped
-    return bytes(out)
+    With truncate, the stream is the redacted trace: every packet cut to
+    its first REDACT_SNAP bytes, each record keeping its original (wire)
+    length, and pieces end on record boundaries. The global header is
+    copied as is, so the trace must be in the writer's byte order.
+    """
+    with open(path, "rb") as fh:
+        if not truncate:
+            yield from iter(partial(fh.read, CHUNK_SIZE), b"")
+            return
+        buf = bytearray(fh.read(GLOBAL_HEADER.size))
+        fh.seek(0)
+        for ts, raw, _, orig in read_pcap(fh, orig_len=True):
+            snapped = raw[:REDACT_SNAP]
+            record = packet_header(ts, len(snapped), orig) + snapped
+            if len(buf) + len(record) > CHUNK_SIZE:
+                yield bytes(buf)
+                buf.clear()
+            buf += record
+        yield bytes(buf)
+
+
+def _digest(chunks) -> tuple[str, int]:
+    """sha256 hex digest and byte count of a stream of chunks."""
+    sha, size = hashlib.sha256(), 0
+    for chunk in chunks:
+        sha.update(chunk)
+        size += len(chunk)
+    return sha.hexdigest(), size
 
 
 def list_sealed(directory) -> list[tuple[Path, TraceFileMeta]]:
@@ -500,27 +511,22 @@ def sync(
         bucket_limiter.last_refill = clock()
 
     sealed = list_sealed(local_dir)
-    report.cleaned = 0
+    truncate = policy.redact == REDACT_TRUNCATE
 
     for pcap_path, meta in sealed:
         if lake.verified_hash(meta.sensor_id, meta.hour_bucket):
             report.skipped += 1
             continue
-        data = pcap_path.read_bytes()
-        upload_meta = meta
-        if policy.redact == REDACT_TRUNCATE:
-            data = _truncate_payloads(data)
-            upload_meta = TraceFileMeta(
-                sensor_id=meta.sensor_id,
-                hour_bucket=meta.hour_bucket,
-                packet_count=meta.packet_count,
-                byte_count=meta.byte_count,
+        upload_meta, size = meta, pcap_path.stat().st_size
+        if truncate:
+            digest, size = _digest(_trace_chunks(pcap_path, truncate=True))
+            upload_meta = replace(
+                meta,
                 module_manifest=list(meta.module_manifest) + [["redacted", REDACT_TRUNCATE, ""]],
-                sealed=True,
-                content_hash=hashlib.sha256(data).hexdigest(),
+                content_hash=digest,
             )
         _upload_with_retry(
-            lake, upload_meta, data, bucket_limiter, clock, sleep, max_attempts, report
+            lake, upload_meta, pcap_path, truncate, size, bucket_limiter, clock, sleep, max_attempts, report
         )
         report.uploaded += 1
 
@@ -529,9 +535,7 @@ def sync(
         bucket_end = bucket_start_us(meta.hour_bucket) / 1e6 + 3600.0
         if bucket_end > cutoff:
             continue
-        want = meta.content_hash
-        if policy.redact == REDACT_TRUNCATE:
-            want = hashlib.sha256(_truncate_payloads(pcap_path.read_bytes())).hexdigest()
+        want = _digest(_trace_chunks(pcap_path, truncate=True))[0] if truncate else meta.content_hash
         if lake.verified_hash(meta.sensor_id, meta.hour_bucket) != want:
             continue  # never delete without a verified lake copy
         pcap_path.chmod(0o644)
@@ -567,28 +571,28 @@ def _drop_dead_flow_logs(directory, cutoff: float) -> None:
             log.unlink()
 
 
-def _upload_with_retry(lake, meta, data, limiter, clock, sleep, max_attempts, report) -> None:
+def _upload_with_retry(lake, meta, path, truncate, size, limiter, clock, sleep, max_attempts, report) -> None:
+    """Upload the trace at path as _trace_chunks streams it, resuming at the
+    lake's part; a part longer than the upload's size restarts at 0."""
     delay = 1.0
     for attempt in range(max_attempts):
         try:
-            offset = lake.part_size(meta.sensor_id, meta.hour_bucket)
-            if offset > len(data):
-                offset = 0
-            while offset < len(data):
-                piece = data[offset : offset + CHUNK_SIZE]
-                if limiter is not None:
-                    sent = 0
-                    while sent < len(piece):
-                        granted = allow(limiter, clock(), len(piece) - sent)
-                        if granted == 0:
-                            sleep(min(1.0, max(len(piece) - sent, 1) / limiter.rate))
-                            continue
-                        lake.put_chunk(meta.sensor_id, meta.hour_bucket, offset + sent, piece[sent : sent + granted])
-                        sent += granted
-                else:
-                    lake.put_chunk(meta.sensor_id, meta.hour_bucket, offset, piece)
-                offset += len(piece)
-                report.bytes_sent += len(piece)
+            resume = lake.part_size(meta.sensor_id, meta.hour_bucket)
+            if resume > size:
+                resume = 0
+            at = 0  # upload offset of the chunk
+            for chunk in _trace_chunks(path, truncate):
+                done = max(resume - at, 0)  # bytes of the chunk the lake holds
+                while done < len(chunk):
+                    want = len(chunk) - done
+                    granted = want if limiter is None else allow(limiter, clock(), want)
+                    if granted == 0:
+                        sleep(min(1.0, want / limiter.rate))
+                        continue
+                    lake.put_chunk(meta.sensor_id, meta.hour_bucket, at + done, chunk[done : done + granted])
+                    report.bytes_sent += granted
+                    done += granted
+                at += len(chunk)
             lake.finalize(meta.sensor_id, meta.hour_bucket, meta, meta.content_hash)
             return
         except LakeUnreachable:

@@ -8,12 +8,12 @@ so nothing ever answers from darknet space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from . import toolbox
-from .net import AddressRange, any_contains, ip_to_int
+from .net import AddressRange, any_contains, exclude_ranges, ip_to_int
 from .packets import ORIGIN_DARKNET, DecodeError, PacketRecord, decode
 from .pcapio import read_pcap
 
@@ -67,6 +67,19 @@ def config_from_doc(params: dict) -> DarknetConfig:
         mode=params.get("mode", MODE_DIRECT),
         sensor_ip=params.get("sensor_ip"),
     )
+
+
+def carve_out_responders(config: DarknetConfig, responder_ranges) -> DarknetConfig:
+    """config with responder_ranges (CIDR strings) carved out of its ranges.
+
+    Responder space must answer, so it can never sit under the darknet's
+    outbound drop rules.
+    """
+    holes = [AddressRange.parse(r) for r in responder_ranges]
+    if not holes:
+        return config
+    carved = [part for rng in config.ranges for part in exclude_ranges(rng, holes)]
+    return replace(config, ranges=tuple(carved))
 
 
 @dataclass(frozen=True)

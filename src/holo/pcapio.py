@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import io
 import struct
-from pathlib import Path
+from contextlib import nullcontext
 
 PCAP_MAGIC = 0xA1B2C3D4
 GLOBAL_HEADER = struct.Struct(">IHHiIII")
@@ -24,41 +23,43 @@ def packet_header(ts_us: int, length: int, orig_len: int | None = None) -> bytes
 def read_pcap(source, orig_len: bool = False):
     """Yield (ts_us, raw_bytes, link_type) for every packet of a pcap.
 
-    source is a path, whose file is read whole, or a binary file, which is
-    read one record at a time. With orig_len, each tuple also carries the
-    record's original (wire) length, which exceeds len(raw) for a frame
-    captured short.
+    source is a path or a binary file, read one record at a time. A path's
+    file is opened on the first record asked for and closed when the
+    generator ends or is closed; a binary file is left open. With
+    orig_len, each tuple also carries the record's original (wire) length,
+    which exceeds len(raw) for a frame captured short.
     """
     if hasattr(source, "read"):
-        fh, name = source, getattr(source, "name", "pcap stream")
+        opened, name = nullcontext(source), getattr(source, "name", "pcap stream")
     else:
-        fh, name = io.BytesIO(Path(source).read_bytes()), source
-    read = fh.read
-    head = read(GLOBAL_HEADER.size)
-    if len(head) < GLOBAL_HEADER.size:
-        raise ValueError(f"{name}: not a pcap file")
-    magic, _, _, _, _, _, link_type = GLOBAL_HEADER.unpack(head)
-    swapped = False
-    if magic != PCAP_MAGIC:
-        magic_le = struct.unpack_from("<I", head)[0]
-        if magic_le != PCAP_MAGIC:
-            raise ValueError(f"{name}: bad pcap magic 0x{magic:08x}")
-        swapped = True
-        _, _, _, _, _, link_type = struct.unpack_from("<HHiIII", head, 4)
-    pos = GLOBAL_HEADER.size
-    hdr = struct.Struct("<IIII") if swapped else PACKET_HEADER
-    unpack, size = hdr.unpack, hdr.size
-    while len(rec := read(size)) == size:
-        sec, usec, incl, orig = unpack(rec)
-        pos += size
-        raw = read(incl)
-        if len(raw) != incl:
-            raise ValueError(f"{name}: truncated packet at offset {pos}")
-        pos += incl
-        if orig_len:
-            yield sec * 1_000_000 + usec, raw, link_type, orig
-        else:
-            yield sec * 1_000_000 + usec, raw, link_type
+        opened, name = open(source, "rb"), source
+    with opened as fh:
+        read = fh.read
+        head = read(GLOBAL_HEADER.size)
+        if len(head) < GLOBAL_HEADER.size:
+            raise ValueError(f"{name}: not a pcap file")
+        magic, _, _, _, _, _, link_type = GLOBAL_HEADER.unpack(head)
+        swapped = False
+        if magic != PCAP_MAGIC:
+            magic_le = struct.unpack_from("<I", head)[0]
+            if magic_le != PCAP_MAGIC:
+                raise ValueError(f"{name}: bad pcap magic 0x{magic:08x}")
+            swapped = True
+            _, _, _, _, _, link_type = struct.unpack_from("<HHiIII", head, 4)
+        pos = GLOBAL_HEADER.size
+        hdr = struct.Struct("<IIII") if swapped else PACKET_HEADER
+        unpack, size = hdr.unpack, hdr.size
+        while len(rec := read(size)) == size:
+            sec, usec, incl, orig = unpack(rec)
+            pos += size
+            raw = read(incl)
+            if len(raw) != incl:
+                raise ValueError(f"{name}: truncated packet at offset {pos}")
+            pos += incl
+            if orig_len:
+                yield sec * 1_000_000 + usec, raw, link_type, orig
+            else:
+                yield sec * 1_000_000 + usec, raw, link_type
 
 
 def write_pcap(path, packets, link_type: int = LINK_RAW_IPV4) -> int:

@@ -20,7 +20,7 @@ from . import collector as collector_mod
 from . import darknet as darknet_mod
 from . import responder as responder_mod
 from . import toolbox
-from .net import AddressRange, any_contains, exclude_ranges, int_to_ip, ip_to_int
+from .net import AddressRange, any_contains, int_to_ip, ip_to_int
 from .packets import (
     ORIGIN_RESPONDER,
     PROTO_ICMP,
@@ -182,12 +182,12 @@ class SensorPath:
         self.captured: list[PacketRecord] = []
         self.responder_events: list[dict] = []
 
-        self.darknet_config = darknet_mod.DarknetConfig(
-            ranges=tuple(sim_sensor.ranges)
-            if sim_sensor.responder is None
-            else tuple(self._darknet_only_ranges(sim_sensor)),
-            mode=sim_sensor.mode,
-            sensor_ip=sim_sensor.sensor_ip,
+        # the darknet keeps to passive space: the responder's ranges are carved out
+        self.darknet_config = darknet_mod.carve_out_responders(
+            darknet_mod.DarknetConfig(
+                ranges=tuple(sim_sensor.ranges), mode=sim_sensor.mode, sensor_ip=sim_sensor.sensor_ip
+            ),
+            () if sim_sensor.responder is None else sim_sensor.responder["ip_ranges"],
         )
         rules = darknet_mod.darknet_rules(self.darknet_config)
         self.responder = None
@@ -202,15 +202,6 @@ class SensorPath:
             descriptor_ranges=sim_sensor.ranges,
             sink=self._capture_sink,
         )
-
-    @staticmethod
-    def _darknet_only_ranges(sim_sensor: SimSensor):
-        """Descriptor ranges minus the responder's: darknet stays passive space."""
-        resp_ranges = [AddressRange.parse(r) for r in sim_sensor.responder["ip_ranges"]]
-        out = []
-        for rng in sim_sensor.ranges:
-            out.extend(exclude_ranges(rng, resp_ranges))
-        return out
 
     def _capture_sink(self, record: PacketRecord, raw) -> None:
         self.captured.append(record)

@@ -1,9 +1,14 @@
 import hashlib
 import json
 import os
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holo import analysis, collector
 from holo.collector import (
@@ -21,8 +26,18 @@ from holo.collector import (
 )
 from holo.analysis import FLOW_ROW_SIZE, encode_flow_block
 from holo.net import ip_to_int
-from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_SYN, PacketRecord
-from holo.pcapio import read_pcap
+from holo import pcapio
+from holo.packets import (
+    LINK_ETHERNET,
+    LINK_RAW_IPV4,
+    PROTO_TCP,
+    TCP_ACK,
+    TCP_SYN,
+    PacketRecord,
+    build_tcp,
+    wrap_ethernet,
+)
+from holo.pcapio import GLOBAL_HEADER, PACKET_HEADER, read_pcap
 
 H10 = bucket_start_us("2025-08-01-10")
 HOUR_US = collector.HOUR_US
@@ -565,3 +580,118 @@ def test_interrupted_sidecar_write_leaves_no_partial_meta(tmp_path, monkeypatch)
     lake.finalize("s1", bucket, meta, digest)
     assert lake.holdings() == [("s1", bucket)]
     assert lake.verified_hash("s1", bucket) == digest
+
+
+# --- streamed reads, redaction and upload ------------------------------------
+
+
+def _truncate_payloads(data: bytes) -> bytes:
+    """Reference redaction, as sync did it with the whole trace in memory:
+    every packet cut to its first REDACT_SNAP bytes."""
+    out = bytearray(data[: GLOBAL_HEADER.size])
+    pos = GLOBAL_HEADER.size
+    while pos + PACKET_HEADER.size <= len(data):
+        sec, usec, incl, orig = PACKET_HEADER.unpack_from(data, pos)
+        pos += PACKET_HEADER.size
+        raw = data[pos : pos + incl]
+        pos += incl
+        snapped = raw[: collector.REDACT_SNAP]
+        out += PACKET_HEADER.pack(sec, usec, len(snapped), orig)
+        out += snapped
+    return bytes(out)
+
+
+def _tcp_hours(directory, stamped_sizes, ethernet=False) -> list[TraceFileMeta]:
+    """Seal one TCP packet per (ts, payload size), raw IPv4 or Ethernet framed."""
+    w = HourlyWriter(directory, "s1", link_type=LINK_ETHERNET if ethernet else LINK_RAW_IPV4)
+    src, dst = ip_to_int("198.51.100.7"), ip_to_int("10.9.0.5")
+    for ts, size in stamped_sizes:
+        ip = build_tcp(src, dst, 40000, 22, 1, 0, TCP_ACK, b"p" * size)
+        w.append(PacketRecord(ts=ts, src_ip=0, dst_ip=0, proto=0), wrap_ethernet(ip) if ethernet else ip)
+    return w.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ethernet=st.booleans(),
+    sizes=st.lists(st.integers(0, 1400), max_size=40),
+    chunk=st.integers(100, 4000),
+    resume=st.integers(0, 1 << 16),
+)
+def test_streamed_redaction_matches_the_reference(ethernet, sizes, chunk, resume):
+    """The redacted stream, and the lake copy uploaded from it in chunks
+    after an interrupted upload, equal the whole-trace reference, on
+    hours with packets and on the empty hour between them."""
+    stamped = [(H10 + n, size) for n, size in enumerate([0] + sizes)] + [(H10 + 2 * HOUR_US, 0)]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(collector, "CHUNK_SIZE", chunk):
+        local, lake = Path(tmp) / "local", LocalLake(Path(tmp) / "lake")
+        sealed = _tcp_hours(local, stamped, ethernet)
+        assert [m.packet_count for m in sealed] == [len(sizes) + 1, 0, 1]
+        first = _truncate_payloads((local / trace_filename("s1", sealed[0].hour_bucket)).read_bytes())
+        lake.put_chunk("s1", sealed[0].hour_bucket, 0, first[: resume % (len(first) + 1)])
+        report = sync(SyncPolicy(redact=collector.REDACT_TRUNCATE), local, lake, now=0.0)
+        assert report.uploaded == 3 and report.retried == 0
+        for meta in sealed:
+            path = local / trace_filename("s1", meta.hour_bucket)
+            want = _truncate_payloads(path.read_bytes())
+            pieces = list(collector._trace_chunks(path, truncate=True))
+            assert b"".join(pieces) == want
+            assert all(len(piece) <= chunk for piece in pieces)
+            assert collector.lake_paths(lake.root, "s1", meta.hour_bucket)[0].read_bytes() == want
+
+
+@pytest.mark.parametrize("redact", [collector.REDACT_NONE, collector.REDACT_TRUNCATE])
+def test_sync_holds_a_chunk_not_the_hour(tmp_path, redact):
+    """Upload, lake verification and the retention check stream the hour."""
+    local = tmp_path / "local"
+    (meta,) = _tcp_hours(local, [(H10 + n, 1400) for n in range(12_000)])
+    assert (local / trace_filename("s1", meta.hour_bucket)).stat().st_size >= 16 << 20
+    lake = LocalLake(tmp_path / "lake")
+    tracemalloc.start()
+    try:
+        report = sync(SyncPolicy(retention_hours=1, redact=redact), local, lake, now=H10 / 1e6 + 2 * 3600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.uploaded == 1 and report.deleted == 1
+    assert lake.verified_hash("s1", meta.hour_bucket)
+    assert peak < 4 << 20
+
+
+def test_redacted_sync_restarts_a_longer_plain_part(tmp_path):
+    """An interrupted plain upload left a part longer than the redacted
+    hour: the upload starts a fresh part instead of failing its hash."""
+    local = tmp_path / "local"
+    (meta,) = _tcp_hours(local, [(H10 + n, 1400) for n in range(50)])
+    plain = (local / trace_filename("s1", meta.hour_bucket)).read_bytes()
+    lake = LocalLake(tmp_path / "lake")
+    lake.put_chunk("s1", meta.hour_bucket, 0, plain[: len(plain) // 2])
+    report = sync(SyncPolicy(retention_hours=9999, redact=collector.REDACT_TRUNCATE), local, lake, now=0.0)
+    assert report.uploaded == 1 and report.retried == 0
+    redacted = _truncate_payloads(plain)
+    assert len(redacted) < len(plain) // 2
+    assert lake.verified_hash("s1", meta.hour_bucket) == hashlib.sha256(redacted).hexdigest()
+
+
+def test_read_pcap_closes_a_path_it_stops_reading(tmp_path, monkeypatch):
+    _tcp_hours(tmp_path, [(H10 + n, 10) for n in range(3)])
+    path = tmp_path / trace_filename("s1", "2025-08-01-10")
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(pcapio, "open", spy_open, raising=False)
+    packets = read_pcap(path)
+    next(packets)
+    assert not opened[0].closed
+    packets.close()
+    assert opened[0].closed
+    abandoned = read_pcap(path)
+    next(abandoned)
+    del abandoned
+    assert opened[1].closed
+    with open(path, "rb") as fh:  # a file handed in stays open
+        assert len(list(read_pcap(fh))) == 3
+        assert not fh.closed

@@ -3,6 +3,7 @@
 import hashlib
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -25,3 +26,18 @@ def test_overlap_experiment_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     assert "global union: 9" in capsys.readouterr().out
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] for name in OVERLAP_EXPERIMENT}
     assert got == OVERLAP_EXPERIMENT
+
+
+def test_e2e_demo_carves_responder_space_and_restarts(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # the demo's data directory
+    monkeypatch.setattr(sys, "argv", ["e2e_demo.py"])
+    runpy.run_path(str(SCRIPTS / "e2e_demo.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "responder on B1 -> CapabilityDenied:" in out
+    assert "instance is running again" in out
+    admitted = [line for line in out.splitlines() if line.startswith("-A HOLO-IN") and line.endswith("-j ACCEPT")]
+    # the responder's 10.9.1.240/28 carved out of the darknet's 10.9.1.0/24
+    assert admitted == [
+        f"-A HOLO-IN -d 10.9.1.{block} -j ACCEPT" for block in ("0/25", "128/26", "192/27", "224/28")
+    ]
+    assert [p.name[:10] for p in tmp_path.iterdir()] == ["holo-demo-"]
