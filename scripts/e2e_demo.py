@@ -4,14 +4,14 @@
 Starts a controller+hub, onboards two sensors over the encrypted
 overlay, deploys darknet and responder modules, crashes one instance and
 watches the reconciler bring it back, then prints the status document
-and the emitted iptables ruleset.
+and the emitted iptables ruleset. The controller's data directory is a
+temporary one, removed on exit.
 
 Usage: python scripts/e2e_demo.py
 """
 
 import json
 import tempfile
-import time
 
 from holo import controlplane as cp
 from holo.agent import AgentCore, AgentProcess, onboard
@@ -19,14 +19,25 @@ from holo.hub import HubServer, admin_request
 
 
 def main():
-    data_dir = tempfile.mkdtemp(prefix="holo-demo-")
-    controller = cp.Controller(data_dir=data_dir, heartbeat_interval=0.5)
-    server = HubServer(controller)
-    controller.hub_address = server.address
-    server.start()
-    print(f"controller on {server.address}, state in {data_dir}")
+    with tempfile.TemporaryDirectory(prefix="holo-demo-") as data_dir:
+        controller = cp.Controller(data_dir=data_dir, heartbeat_interval=0.5)
+        try:
+            server = HubServer(controller)
+            controller.hub_address = server.address
+            server.start()
+            agents = []  # (AgentProcess, AgentCore) pairs
+            try:
+                print(f"controller on {server.address}, state in {data_dir}")
+                demo(server, agents)
+            finally:
+                for proc, _ in agents:
+                    proc.stop()
+                server.stop()
+        finally:
+            controller.close()
 
-    agents = []
+
+def demo(server, agents):
     for sensor_id, net, honeypot in (("A1", "10.9.1", True), ("B1", "10.9.2", False)):
         reply = admin_request(server.address, {
             "op": "token_new", "principal": "admin", "sensor_id": sensor_id, "ttl": 600,
@@ -89,11 +100,6 @@ def main():
     rules = admin_request(server.address, {"op": "rules_emit", "sensor_id": "A1"})
     print("\niptables for A1:")
     print(rules["text"])
-
-    for proc, _ in agents:
-        proc.stop()
-    server.stop()
-    controller.close()
 
 
 if __name__ == "__main__":

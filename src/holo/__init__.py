@@ -7,3 +7,8 @@ metrics; simnet provides a deterministic simulated network for tests.
 """
 
 __version__ = "0.1.0"
+
+
+class HoloError(Exception):
+    """Root of the errors holo reports as operational failures: the CLI
+    prints each as `error: <Class>: <message>` and exits 1."""

@@ -331,6 +331,8 @@ class OverlayLakeClient:
         body = pack_control(header) + chunk
         reply = unpack_control(self.agent.request(overlay.CH_TRACE, body))
         if "error" in reply:
+            if reply["error"] == "HashMismatch":
+                raise collector_mod.HashMismatch(reply["message"])
             if reply["error"] in ("NoLake", "BadRequest"):
                 raise collector_mod.CollectorError(reply["message"])
             raise collector_mod.LakeUnreachable(reply["message"])

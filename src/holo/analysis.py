@@ -21,7 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from . import pcapio
+from . import HoloError, pcapio
 from .net import AddressRange, int_to_ip
 from .packets import (
     PROTO_TCP,
@@ -35,7 +35,7 @@ from .packets import (
 )
 
 
-class AnalysisError(Exception):
+class AnalysisError(HoloError):
     pass
 
 

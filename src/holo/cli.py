@@ -3,6 +3,11 @@
 Every subcommand is a thin adapter over the library; exit code 0 on
 success, 1 on operational errors, 2 on usage errors. Machine-readable
 output behind --json everywhere.
+
+Only analysis and collector load with this module. Each handler imports
+the rest of what it runs (the control plane, hub, agent, simulator,
+YAML), so `holo analyze` and `holo sync` never load the control plane or
+cryptography.
 """
 
 from __future__ import annotations
@@ -16,11 +21,7 @@ import textwrap
 import time
 from pathlib import Path
 
-import yaml
-
-from . import analysis, collector, controlplane as cp, darknet, overlay, simnet, toolbox
-from .agent import AgentCore, AgentIdentity, AgentProcess, build_sensor_program, onboard
-from .hub import HubServer, admin_request
+from . import HoloError, analysis, collector
 
 
 def parse_ttl(text: str) -> float:
@@ -45,6 +46,8 @@ def _emit(args, doc: dict, human: str = "") -> None:
 
 
 def _admin(args, doc: dict) -> dict:
+    from .hub import admin_request
+
     reply = admin_request(_hub_addr(args), doc)
     if "error" in reply:
         print(f"error: {reply['error']}: {reply['message']}", file=sys.stderr)
@@ -56,12 +59,15 @@ def _admin(args, doc: dict) -> dict:
 
 
 def cmd_controller(args) -> int:
+    from . import controlplane as cp
+    from .hub import HubServer
+
     data_dir = args.data_dir or os.environ.get("HOLO_DATA_DIR") or "holo-data"
     host, _, port = args.listen.rpartition(":")
     controller = cp.Controller(
         data_dir=data_dir,
         hub_id=args.hub_id,
-        heartbeat_interval=args.heartbeat,
+        heartbeat_interval=cp.HEARTBEAT_INTERVAL if args.heartbeat is None else args.heartbeat,
     )
     server = HubServer(controller, host or "127.0.0.1", int(port))
     controller.hub_address = server.address
@@ -94,12 +100,18 @@ def cmd_token_new(args) -> int:
     return 0
 
 
-def _load_descriptor(path: str) -> cp.SensorDescriptor:
+def _load_descriptor(path: str):
+    import yaml
+
+    from . import controlplane as cp
+
     doc = yaml.safe_load(Path(path).read_text())
     return cp.SensorDescriptor.from_doc(doc)
 
 
 def cmd_agent(args) -> int:
+    from .agent import AgentCore, AgentIdentity, AgentProcess, onboard
+
     data_dir = Path(args.data_dir or os.environ.get("HOLO_DATA_DIR") or "holo-agent")
     data_dir.mkdir(parents=True, exist_ok=True)
     ident_path = data_dir / "agent.json"
@@ -132,7 +144,9 @@ def cmd_agent(args) -> int:
     return 0
 
 
-def _spec_from_doc(doc: dict) -> cp.ModuleSpec:
+def _spec_from_doc(doc: dict):
+    from . import controlplane as cp
+
     target = doc.get("target", {})
     return cp.ModuleSpec(
         module_kind=doc["module_kind"],
@@ -146,6 +160,8 @@ def _spec_from_doc(doc: dict) -> cp.ModuleSpec:
 
 
 def cmd_deploy(args) -> int:
+    import yaml
+
     doc = yaml.safe_load(Path(args.file).read_text())
     spec = _spec_from_doc(doc)
     reply = _admin(args, {"op": "deploy", "principal": args.principal, "spec": spec.to_doc()})
@@ -172,6 +188,8 @@ def cmd_status(args) -> int:
 
 
 def cmd_sim_run(args) -> int:
+    from . import simnet
+
     config = simnet.load_sim_config(args.file)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -303,10 +321,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_rules_emit(args) -> int:
     if args.file:
+        import yaml
+
+        from .agent import build_sensor_program
+        from .toolbox import emit_iptables
+
         docs = yaml.safe_load(Path(args.file).read_text())
         specs = [_spec_from_doc(d) for d in (docs if isinstance(docs, list) else [docs])]
         program, limiters = build_sensor_program(specs)
-        text = toolbox.emit_iptables(program, limiters=limiters)
+        text = emit_iptables(program, limiters=limiters)
     else:
         reply = _admin(args, {"op": "rules_emit", "sensor_id": args.sensor})
         text = reply["text"]
@@ -322,6 +345,8 @@ def cmd_sync_run(args) -> int:
         redact=args.redact,
     )
     if args.policy:
+        import yaml
+
         doc = yaml.safe_load(Path(args.policy).read_text())
         policy = collector.SyncPolicy(**doc)
     lake = collector.LocalLake(args.lake)
@@ -371,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=None)
     p.add_argument("--listen", default="127.0.0.1:7400")
     p.add_argument("--hub-id", default="hub")
-    p.add_argument("--heartbeat", type=float, default=cp.HEARTBEAT_INTERVAL)
+    p.add_argument("--heartbeat", type=float, default=None)
     p.set_defaults(func=cmd_controller)
 
     token = sub.add_parser("token", help="onboarding tokens")
@@ -465,9 +490,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (cp.ControlPlaneError, collector.CollectorError, simnet.ConfigInvalid,
-            overlay.OverlayError, darknet.DarknetError, analysis.AnalysisError,
-            toolbox.ToolboxError, ConnectionError, OSError) as exc:
+    except (HoloError, ConnectionError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

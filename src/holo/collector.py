@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import analysis
+from . import HoloError, analysis
 from .packets import (
     LINK_RAW_IPV4,
     DecodeError,
@@ -42,12 +42,17 @@ REDACT_TRUNCATE = "truncate"
 REDACT_SNAP = 64  # bytes kept per packet when truncating payloads
 
 
-class CollectorError(Exception):
+class CollectorError(HoloError):
     pass
 
 
 class LakeUnreachable(CollectorError):
     pass
+
+
+class HashMismatch(CollectorError):
+    """An upload's bytes do not hash to what finalize expected; the lake
+    has dropped them."""
 
 
 def hour_bucket(ts_us: int) -> str:
@@ -385,7 +390,7 @@ class LocalLake:
         got = sha.hexdigest()
         if got != expect_hash:
             part.unlink()
-            raise CollectorError(f"hash mismatch for {sensor_id}/{bucket}: {got}")
+            raise HashMismatch(f"hash mismatch for {sensor_id}/{bucket}: {got}")
         pcap, meta_path = lake_paths(self.root, sensor_id, bucket)
         # built from the verified bytes, so it always matches this copy,
         # redacted or not; derived data, so no fsync
@@ -573,12 +578,19 @@ def _drop_dead_flow_logs(directory, cutoff: float) -> None:
 
 def _upload_with_retry(lake, meta, path, truncate, size, limiter, clock, sleep, max_attempts, report) -> None:
     """Upload the trace at path as _trace_chunks streams it, resuming at the
-    lake's part; a part longer than the upload's size restarts at 0."""
+    lake's part; a part longer than the upload's size restarts at 0.
+
+    A part that other bytes began (say, a plain upload interrupted before a
+    redacted one) fails finalize's hash check; the hour is then uploaded
+    once more from offset 0, and only a second mismatch raises.
+    """
     delay = 1.0
-    for attempt in range(max_attempts):
+    attempt = 0
+    mismatched = False
+    while True:
         try:
             resume = lake.part_size(meta.sensor_id, meta.hour_bucket)
-            if resume > size:
+            if resume > size or mismatched:
                 resume = 0
             at = 0  # upload offset of the chunk
             for chunk in _trace_chunks(path, truncate):
@@ -595,9 +607,14 @@ def _upload_with_retry(lake, meta, path, truncate, size, limiter, clock, sleep, 
                 at += len(chunk)
             lake.finalize(meta.sensor_id, meta.hour_bucket, meta, meta.content_hash)
             return
+        except HashMismatch:
+            if mismatched:
+                raise
+            mismatched = True
         except LakeUnreachable:
             report.retried += 1
-            if attempt == max_attempts - 1:
+            attempt += 1
+            if attempt == max_attempts:
                 raise
             sleep(delay)
             delay = min(delay * 2, BACKOFF_CAP)

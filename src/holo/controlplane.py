@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import overlay
+from . import HoloError, overlay
 from .net import AddressRange, ranges_overlap
 
 HEARTBEAT_INTERVAL = 10.0
@@ -42,7 +42,7 @@ ST_CRASHED = "crashed"
 ST_STOPPED = "stopped"
 
 
-class ControlPlaneError(Exception):
+class ControlPlaneError(HoloError):
     pass
 
 

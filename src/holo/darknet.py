@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from . import toolbox
+from . import HoloError, toolbox
 from .net import AddressRange, any_contains, exclude_ranges, ip_to_int
 from .packets import ORIGIN_DARKNET, DecodeError, PacketRecord, decode
 from .pcapio import read_pcap
@@ -29,7 +29,7 @@ PRIO_OUTBOUND_DROP = 10
 PRIO_INBOUND_ADMIT = 510
 
 
-class DarknetError(Exception):
+class DarknetError(HoloError):
     pass
 
 

@@ -51,8 +51,11 @@ def read_exact(reader, n: int) -> bytes:
     return data
 
 
-def read_frame(reader) -> overlay.Frame:
-    """Read one length-delimited frame from a buffered binary stream."""
+def read_frame(reader, max_len: int = 0xFFFFFFFF) -> overlay.Frame:
+    """Read one length-delimited frame from a buffered binary stream.
+
+    A ciphertext length over max_len is refused before its body is read.
+    """
     version = read_exact(reader, 1)[0]
     if version != overlay.PROTOCOL_VERSION:
         raise overlay.FrameError(f"unsupported version {version}")
@@ -61,6 +64,8 @@ def read_frame(reader) -> overlay.Frame:
     dst_len = read_exact(reader, 1)[0]
     dst = read_exact(reader, dst_len)
     (length,) = struct.unpack(">I", read_exact(reader, 4))
+    if length > max_len:
+        raise overlay.FrameError(f"frame of {length} bytes over the cap of {max_len}")
     ciphertext = read_exact(reader, length) if length else b""
     try:
         frame = overlay.Frame(
@@ -164,7 +169,8 @@ class HubServer:
     # --- overlay side ------------------------------------------------------
 
     def _overlay_session(self, sock: socket.socket, reader) -> None:
-        frame = read_frame(reader)
+        # the peer is not yet authenticated: read no more than a HandshakeInit
+        frame = read_frame(reader, max_len=overlay.HANDSHAKE_INIT_LEN)
         registry = self.controller.peer_registry()
         try:
             session, resp = overlay.handshake_respond(
@@ -275,16 +281,22 @@ class HubServer:
     def _admin_session(self, sock: socket.socket, reader) -> None:
         writer = sock.makefile("wb")
         while True:
-            line = reader.readline()
+            # bounded, as the JSON-lines peer has not authenticated
+            line = reader.readline(CONTROL_DOC_MAX + 1)
             if not line:
                 return
-            try:
-                doc = json.loads(line)
-                reply = self.handle_admin(doc)
-            except json.JSONDecodeError as exc:
-                reply = {"error": "BadRequest", "message": str(exc)}
+            over_long = len(line) > CONTROL_DOC_MAX
+            if over_long:
+                reply = {"error": "BadRequest", "message": f"line over {CONTROL_DOC_MAX} bytes"}
+            else:
+                try:
+                    reply = self.handle_admin(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    reply = {"error": "BadRequest", "message": str(exc)}
             writer.write(canonical_json(reply) + b"\n")
             writer.flush()
+            if over_long:
+                return  # the rest of the line is not read
 
     def _principal(self, doc: dict) -> cp.Principal:
         name = doc.get("principal", "")

@@ -35,6 +35,8 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
+from . import HoloError
+
 PROTOCOL_VERSION = 1
 PROLOGUE = b"holo-overlay-v1"
 
@@ -48,8 +50,12 @@ CH_TRACE = 2
 
 MAX_NODE_ID = 64
 
+# HandshakeInit ciphertext: the ephemeral public key, then the sealed
+# static public key and 8-byte nonce with their AEAD tag
+HANDSHAKE_INIT_LEN = 32 + 32 + 8 + 16
 
-class OverlayError(Exception):
+
+class OverlayError(HoloError):
     pass
 
 

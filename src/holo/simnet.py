@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional
 
 import yaml
 
+from . import HoloError
 from . import collector as collector_mod
 from . import darknet as darknet_mod
 from . import responder as responder_mod
@@ -51,7 +52,7 @@ PORT_PRESETS = {
 
 
 
-class ConfigInvalid(Exception):
+class ConfigInvalid(HoloError):
     pass
 
 

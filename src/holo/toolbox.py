@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from . import HoloError
 from .net import AddressRange, PortRange
 from .packets import FLAG_NAMES, PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketRecord
 
 
-class ToolboxError(Exception):
+class ToolboxError(HoloError):
     pass
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -367,3 +368,72 @@ def test_analyze_reads_a_lake(sim_out, tmp_path):
     run_cli("analyze", "flows", "--in", str(sim_out / "traces"), "--out", str(from_local))
     assert len(from_local.read_text().splitlines()) > 1
     assert from_lake.read_bytes() == from_local.read_bytes()
+
+
+# what only the controller, agent and operator commands may load
+CONTROL_PLANE_MODULES = ("cryptography", "holo.overlay", "holo.hub", "holo.controlplane", "holo.agent")
+
+PROBE = (
+    "import json, sys\n"
+    "from holo import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    f"print(json.dumps([code, sorted(m for m in {CONTROL_PLANE_MODULES!r} if m in sys.modules)]))\n"
+)
+
+
+@pytest.mark.parametrize("command", [
+    "analyze flows", "analyze overlap", "analyze portcdf", "analyze timeline",
+    "sync run", "sync status", "sim run",
+])
+def test_analysis_sync_and_sim_load_no_control_plane(command, sim_out, tmp_path):
+    local = tmp_path / "local"
+    shutil.copytree(sim_out / "traces", local)
+    config = tmp_path / "sim.yaml"
+    config.write_text(yaml.safe_dump({**SIM_YAML, "duration": 60}))
+    analyze = ["--in", str(sim_out), "--out", str(tmp_path / "out.csv")]
+    args = {
+        "analyze flows": analyze,
+        "analyze overlap": analyze + ["--min-packets", "5"],
+        "analyze portcdf": analyze,
+        "analyze timeline": analyze,
+        "sync run": ["--local", str(local), "--lake", str(tmp_path / "lake")],
+        "sync status": ["--local", str(local)],
+        "sim run": ["-f", str(config), "--out", str(tmp_path / "sim")],
+    }
+    argv = command.split() + args[command]
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=60)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert loaded == []
+
+
+ERROR_ROOTS = [
+    ("controlplane", "ControlPlaneError"),
+    ("collector", "CollectorError"),
+    ("simnet", "ConfigInvalid"),
+    ("overlay", "OverlayError"),
+    ("darknet", "DarknetError"),
+    ("analysis", "AnalysisError"),
+    ("toolbox", "ToolboxError"),
+]
+
+
+def test_the_seven_error_roots_are_exactly_the_holo_errors():
+    import holo
+
+    roots = {getattr(importlib.import_module(f"holo.{module}"), name) for module, name in ERROR_ROOTS}
+    assert set(holo.HoloError.__subclasses__()) == roots
+
+
+@pytest.mark.parametrize("module, name", ERROR_ROOTS)
+def test_an_error_root_raised_by_a_subcommand_exits_1(module, name, tmp_path, monkeypatch, capsys):
+    from holo import cli, collector
+
+    error = getattr(importlib.import_module(f"holo.{module}"), name)
+
+    def fail(directory):
+        raise error("the lake is on fire")
+
+    monkeypatch.setattr(collector, "list_sealed", fail)
+    assert cli.main(["sync", "status", "--local", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {name}: the lake is on fire\n"

@@ -673,6 +673,47 @@ def test_redacted_sync_restarts_a_longer_plain_part(tmp_path):
     assert lake.verified_hash("s1", meta.hour_bucket) == hashlib.sha256(redacted).hexdigest()
 
 
+def test_redacted_sync_resends_an_hour_whose_part_fails_its_hash(tmp_path):
+    """An interrupted plain upload left 1,000 bytes of hour 00, shorter than
+    the redacted hour: the upload resumes on them and fails its hash, is
+    sent once more from offset 0, and the sync goes on to every other hour
+    and to retention."""
+    local = tmp_path / "local"
+    h00 = bucket_start_us("2025-08-01-00")
+    metas = _tcp_hours(local, [(h00 + h * HOUR_US + n, 1400) for h in range(3) for n in range(20)])
+    plain = [(local / trace_filename("s1", m.hour_bucket)).read_bytes() for m in metas]
+    want = [hashlib.sha256(_truncate_payloads(data)).hexdigest() for data in plain]
+    assert len(_truncate_payloads(plain[0])) > 1000
+    lake = LocalLake(tmp_path / "lake")
+    lake.put_chunk("s1", metas[0].hour_bucket, 0, plain[0][:1000])
+    policy = SyncPolicy(retention_hours=1, redact=collector.REDACT_TRUNCATE)
+    report = sync(policy, local, lake, now=h00 / 1e6 + 10 * 3600)
+    assert report.uploaded == 3 and report.deleted == 3
+    assert [lake.verified_hash("s1", m.hour_bucket) for m in metas] == want
+
+
+def test_sync_raises_when_a_resent_hour_fails_its_hash_again(tmp_path):
+    local, _ = make_sealed_dir(tmp_path, n_files=2)
+
+    class GarblingLake(LocalLake):
+        """Stores zeros for every byte sent, so each finalize mismatches."""
+
+        finalized = 0
+
+        def put_chunk(self, sensor_id, bucket, offset, data):
+            super().put_chunk(sensor_id, bucket, offset, bytes(len(data)))
+
+        def finalize(self, *args):
+            self.finalized += 1
+            super().finalize(*args)
+
+    lake = GarblingLake(tmp_path / "lake")
+    with pytest.raises(collector.HashMismatch, match="hash mismatch for s1/2025-08-01-10"):
+        sync(SyncPolicy(retention_hours=1), local, lake, now=H10 / 1e6 + 10 * 3600)
+    assert lake.finalized == 2
+    assert lake.holdings() == [] and len(list_sealed(local)) == 2
+
+
 def test_read_pcap_closes_a_path_it_stops_reading(tmp_path, monkeypatch):
     _tcp_hours(tmp_path, [(H10 + n, 10) for n in range(3)])
     path = tmp_path / trace_filename("s1", "2025-08-01-10")

@@ -148,6 +148,31 @@ def test_overlay_lake_analyzes_like_the_local_traces(hub, tmp_path):
         proc.stop()
 
 
+def test_overlay_sync_resends_a_mismatched_hour_once_then_raises(hub, tmp_path, monkeypatch):
+    """The hub's lake stores zeros, so each finalize fails its hash: the
+    client reports HashMismatch, not an outage to back off from."""
+    put_chunk = hub.lake.put_chunk
+    finalized = []
+    monkeypatch.setattr(hub.lake, "put_chunk", lambda s, b, offset, data: put_chunk(s, b, offset, bytes(len(data))))
+    finalize = hub.lake.finalize
+    monkeypatch.setattr(hub.lake, "finalize", lambda *a: (finalized.append(a[1]), finalize(*a)))
+    proc, _ = join(hub, tmp_path)
+    try:
+        local = tmp_path / "traces"
+        writer = HourlyWriter(local, "A1")
+        writer.append(PacketRecord(
+            ts=bucket_start_us("2025-08-01-00"), src_ip=ip_to_int("1.1.1.1"), dst_ip=ip_to_int("10.9.1.5"),
+            proto=PROTO_TCP, src_port=1, dst_port=22, tcp_flags=TCP_SYN,
+        ))
+        writer.close()
+        sleeps = []
+        with pytest.raises(collector.HashMismatch):
+            sync(SyncPolicy(retention_hours=99999), local, OverlayLakeClient(proc), now=0.0, sleep=sleeps.append)
+        assert finalized == ["2025-08-01-00"] * 2 and sleeps == []
+    finally:
+        proc.stop()
+
+
 def test_trace_channel_rejects_foreign_sensor_id(hub, tmp_path):
     proc, _ = join(hub, tmp_path)
     try:
@@ -383,3 +408,81 @@ def test_stop_ends_every_connection_under_churn(hub):
         for sock, fh in held:
             fh.close()
             sock.close()
+
+
+class RecordingReader:
+    """A reader over fixed bytes that records the size of every read it is
+    asked for (-1 for an unbounded one)."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+        self.sizes = []
+
+    def read(self, n=-1):
+        self.sizes.append(n)
+        return self._data.read(n)
+
+    def readline(self, limit=-1):
+        self.sizes.append(limit)
+        return self._data.readline(limit)
+
+
+class RecordingSock:
+    def __init__(self):
+        self.sent = io.BytesIO()
+
+    def sendall(self, data):
+        self.sent.write(data)
+
+    def makefile(self, mode):
+        return self.sent
+
+
+def test_read_frame_refuses_a_length_over_its_cap_before_reading_the_body():
+    header = bytes([overlay.PROTOCOL_VERSION, overlay.MsgType.HANDSHAKE_INIT, 1]) + b"A" + bytes([1]) + b"B"
+    reader = RecordingReader(header + b"\xff" * 4 + b"x" * 100)
+    with pytest.raises(overlay.FrameError, match="over the cap"):
+        read_frame(reader, max_len=overlay.HANDSHAKE_INIT_LEN)
+    assert all(0 <= n <= 4 for n in reader.sizes)
+
+
+def test_first_overlay_frame_is_read_within_a_handshake_size(hub, tmp_path):
+    header = bytes([overlay.PROTOCOL_VERSION, overlay.MsgType.HANDSHAKE_INIT, 2]) + b"A1" + bytes([3]) + b"hub"
+    huge = RecordingReader(header + (overlay.HANDSHAKE_INIT_LEN + 1).to_bytes(4, "big"))
+    with pytest.raises(overlay.FrameError):
+        hub._overlay_session(RecordingSock(), huge)
+    assert all(0 <= n <= overlay.HANDSHAKE_INIT_LEN for n in huge.sizes)
+
+    # a real HandshakeInit fits the cap and is answered
+    proc, _ = join(hub, tmp_path)
+    try:
+        ident = proc.identity
+        local = overlay.PeerIdentity(ident.sensor_id, ident.static_public, overlay.Role.SENSOR)
+        hub_peer = overlay.PeerIdentity(
+            ident.tunnel.hub_id, bytes.fromhex(ident.tunnel.hub_public_key), overlay.Role.HUB
+        )
+        half, init = overlay.handshake_initiate(local, ident.static_private, hub_peer)
+        assert len(init.ciphertext) == overlay.HANDSHAKE_INIT_LEN
+        reader, sock = RecordingReader(overlay.encode_frame(init)), RecordingSock()
+        with pytest.raises(ConnectionError):  # the stream ends after the handshake
+            hub._overlay_session(sock, reader)
+        assert all(0 <= n <= overlay.HANDSHAKE_INIT_LEN for n in reader.sizes)
+        resp = read_frame(io.BytesIO(sock.sent.getvalue()))
+        assert overlay.handshake_finalize(half, resp).peer.node_id == hub_peer.node_id
+    finally:
+        proc.stop()
+
+
+def test_admin_line_read_is_bounded_and_an_over_long_line_is_refused(hub, monkeypatch):
+    from holo import hub as hub_mod
+
+    monkeypatch.setattr(hub_mod, "CONTROL_DOC_MAX", 64)
+    status = json.dumps({"op": "status", "principal": ADMIN}).encode() + b"\n"
+    reader = RecordingReader(status + b" " * 100 + b"\n" + status)
+    sock = RecordingSock()
+    hub._admin_session(sock, reader)
+    replies = [json.loads(line) for line in sock.sent.getvalue().splitlines()]
+    assert replies[0]["ok"] and replies[0]["status"]["hub_id"] == hub.controller.hub_id
+    assert replies[1]["error"] == "BadRequest"
+    assert len(replies) == 2  # closed after the over-long line
+    assert all(0 <= n <= 65 for n in reader.sizes)
