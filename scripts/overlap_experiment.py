@@ -2,8 +2,10 @@
 """Sender-overlap experiment on a seeded simulated deployment.
 
 Runs N /24 darknet sensors against a mixed scanner population for a few
-simulated days, then prints the common-sender matrix, per-sensor unique
-sender counts and the global union, and writes the full CSV set.
+simulated days, each writing hourly traces as a deployed sensor does, then
+reads the flows back from those traces as `holo analyze` does, prints the
+common-sender matrix, per-sensor unique sender counts and the global
+union, and writes the full CSV set.
 
 Usage:
     python scripts/overlap_experiment.py [--days 2] [--sensors 4] [--seed 7] [--out out/]
@@ -11,10 +13,11 @@ Usage:
 
 import argparse
 import json
+import tempfile
 import time
 from pathlib import Path
 
-from holo import analysis, simnet
+from holo import analysis, cli, collector, simnet
 
 
 def build_config(seed: int, days: float, n_sensors: int) -> simnet.SimConfig:
@@ -51,18 +54,13 @@ def main():
     args = parser.parse_args()
 
     config = build_config(args.seed, args.days, args.sensors)
-    started = time.monotonic()
-    report = simnet.run(config)
-    print(f"simulated {len(report.ground_truth)} packets in {time.monotonic() - started:.1f}s")
-
-    # one flow table per sensor, keyed (day number, integer 5-tuple)
-    sensor_tables = {
-        sensor_id: analysis.flow_table(
-            (p.ts, p.src_ip, p.dst_ip, p.proto, p.src_port, p.dst_port, p.tcp_flags, p.payload_len)
-            for p in path.captured
-        )
-        for sensor_id, path in report.paths.items()
-    }
+    with tempfile.TemporaryDirectory() as traces:
+        started = time.monotonic()
+        writers = {s.sensor_id: collector.HourlyWriter(traces, s.sensor_id) for s in config.sensors}
+        report = simnet.run(config, writers)
+        print(f"simulated {len(report.ground_truth)} packets in {time.monotonic() - started:.1f}s")
+        # one flow table per sensor, keyed (day number, integer 5-tuple)
+        sensor_tables = cli._sensor_flows(Path(traces))
 
     matrix = analysis.common_sender_ratio(sensor_tables, window_days=15,
                                           min_packets=args.min_packets)

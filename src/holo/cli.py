@@ -192,16 +192,15 @@ def cmd_sim_run(args) -> int:
 
     config = simnet.load_sim_config(args.file)
     out = Path(args.out)
+    # a writer never reopens a sealed hour: the traces would not match this run
+    if any((out / "traces").glob("*.pcap.meta.json")):
+        raise SystemExit(f"error: {out / 'traces'} holds sealed traces of an earlier run")
     out.mkdir(parents=True, exist_ok=True)
     writers = {
         s.sensor_id: collector.HourlyWriter(out / "traces", s.sensor_id)
         for s in config.sensors
     }
     report = simnet.run(config, writers=writers)
-    dropped = sum(w.dropped for w in writers.values())
-    if dropped:  # a writer never reopens an hour an earlier run sealed
-        print(f"warning: {dropped} packets not written: {out / 'traces'} holds hours "
-              "an earlier run sealed", file=sys.stderr)
     report.dump_jsonl(out / "ground_truth.jsonl")
     (out / "counters.json").write_text(json.dumps(report.counters, sort_keys=True, indent=2))
     for sensor_id, path_obj in report.paths.items():
@@ -338,17 +337,17 @@ def cmd_rules_emit(args) -> int:
 
 
 def cmd_sync_run(args) -> int:
-    policy = collector.SyncPolicy(
-        enabled=not args.disabled,
-        retention_hours=args.retention_hours,
-        bandwidth_cap=args.bandwidth_cap,
-        redact=args.redact,
-    )
+    doc = {"enabled": not args.disabled, "retention_hours": args.retention_hours,
+           "bandwidth_cap": args.bandwidth_cap, "redact": args.redact}
     if args.policy:
         import yaml
 
         doc = yaml.safe_load(Path(args.policy).read_text())
+    try:
         policy = collector.SyncPolicy(**doc)
+    except (TypeError, ValueError) as exc:  # an unknown key, a value out of range
+        print(f"error: bad sync policy: {exc}", file=sys.stderr)
+        return 2
     lake = collector.LocalLake(args.lake)
     report = collector.sync(policy, args.local, lake, now=args.now or time.time())
     doc = {

@@ -160,7 +160,6 @@ class HourlyWriter:
         self.manifest = manifest or (lambda: [])
         self.disk_budget = disk_budget
         self.on_event = on_event or (lambda event: None)
-        self.sealed: list[TraceFileMeta] = []
         self.dropped = 0
         self._paused = False  # drop packets: the disk is full or the hour refused
         self._disk_full = False
@@ -211,7 +210,6 @@ class HourlyWriter:
         # about 40 % on a 2-vCPU host
         write_atomic(str(path) + ".meta.json", meta.to_json(), fsync=False)
         os.chmod(path, 0o444)
-        self.sealed.append(meta)
         self._fh = None
         self._last_meta = meta
         return meta
@@ -308,9 +306,8 @@ class HourlyWriter:
             return self._last_meta
         return self._seal_open_file()
 
-    def close(self) -> list[TraceFileMeta]:
-        self.seal()
-        return self.sealed
+    def close(self) -> Optional[TraceFileMeta]:
+        return self.seal()
 
 
 # --- data lake ----------------------------------------------------------
@@ -512,7 +509,7 @@ def sync(
 
     bucket_limiter = None
     if policy.bandwidth_cap:
-        bucket_limiter = TokenBucket(rate=float(policy.bandwidth_cap), burst=float(policy.bandwidth_cap), unit="bytes")
+        bucket_limiter = TokenBucket(rate=float(policy.bandwidth_cap), burst=float(policy.bandwidth_cap))
         bucket_limiter.last_refill = clock()
 
     sealed = list_sealed(local_dir)

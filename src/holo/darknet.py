@@ -159,13 +159,12 @@ class CaptureStats:
 
 
 class CaptureHandle:
-    """One open capture stream; single consumer."""
+    """One open capture stream; single consumer. Without a sink it only counts."""
 
     def __init__(self, config: DarknetConfig, sink: Optional[Callable] = None):
         self.config = config
         self.arp = ArpState()
         self.sink = sink
-        self.records: list[PacketRecord] = []
         self.stats = CaptureStats()
 
     def accepts(self, record: PacketRecord) -> bool:
@@ -183,8 +182,6 @@ class CaptureHandle:
         self.stats.captured += 1
         if self.sink is not None:
             self.sink(record, raw)
-        else:
-            self.records.append(record)
         return True
 
     def offer_raw(self, ts: int, raw: bytes, link_type: int) -> Optional[PacketRecord]:

@@ -72,9 +72,6 @@ class FlowKey(NamedTuple):
             self.dst_port,
         )
 
-    def reversed(self) -> "FlowKey":
-        return FlowKey(self.dst_ip, self.src_ip, self.proto, self.dst_port, self.src_port)
-
 
 @dataclass(slots=True)
 class PacketRecord:

@@ -180,7 +180,6 @@ class SensorPath:
         self.sensor = sim_sensor
         self.writer = writer
         self.counters = PathCounters()
-        self.captured: list[PacketRecord] = []
         self.responder_events: list[dict] = []
 
         # the darknet keeps to passive space: the responder's ranges are carved out
@@ -205,7 +204,6 @@ class SensorPath:
         )
 
     def _capture_sink(self, record: PacketRecord, raw) -> None:
-        self.captured.append(record)
         self.counters.captured += 1
         if self.writer is not None:
             self.writer.append(record, raw)

@@ -200,13 +200,12 @@ class ProgramHolder:
 
 @dataclass
 class TokenBucket:
-    """Egress limiter; counts packets by default, bytes behind the unit flag."""
+    """Token-bucket limiter; a unit is whatever the caller counts (packets, bytes)."""
 
     rate: float
     burst: float
     tokens: float = -1.0
     last_refill: float = 0.0
-    unit: str = "packets"
 
     def __post_init__(self):
         if self.tokens < 0:

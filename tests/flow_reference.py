@@ -1,4 +1,5 @@
-"""Reference metrics over rendered FlowRecords, and flow-table builders.
+"""Reference metrics over rendered FlowRecords, flow-table builders, and
+simulated runs read back from the traces their sensors wrote.
 
 holo.analysis reduces integer flow tables keyed (day number, src, dst,
 proto, src_port, dst_port) to [packets, bytes, first_ts, last_ts, flags].
@@ -11,7 +12,7 @@ import csv
 import math
 from typing import Optional
 
-from holo import analysis
+from holo import analysis, collector, simnet
 from holo.analysis import (
     FLOWS_HEADER,
     WEIGHT_PACKETS,
@@ -65,6 +66,22 @@ def packet_table(packets) -> dict:
 def rendered(sensor_tables: dict) -> dict:
     """{sensor: FlowRecords} of {sensor: flow table}."""
     return {sensor: analysis.render_flows(table) for sensor, table in sensor_tables.items()}
+
+
+# --- simulated runs, read back from their traces --------------------------------
+
+
+def run_to_traces(config, traces) -> simnet.SimReport:
+    """Run config with one HourlyWriter per sensor, writing under traces."""
+    writers = {s.sensor_id: collector.HourlyWriter(traces, s.sensor_id) for s in config.sensors}
+    return simnet.run(config, writers)
+
+
+def sensor_packets(traces, sensor: str):
+    """analysis.trace_packets over the traces one sensor sealed under traces."""
+    return analysis.trace_packets(
+        path for path, meta in collector.sealed_traces(traces) if meta.sensor_id == sensor
+    )
 
 
 # --- reference metrics over FlowRecords -------------------------------------------

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL
-line per criterion. Criteria 1-3 share one seeded two-day simulation.
+line per criterion. Criteria 1-3 share one seeded two-day simulation,
+whose flows are read from the traces its sensors sealed.
 """
 
 import base64
@@ -11,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from holo import analysis, collector, controlplane as cp, overlay, simnet, toolbox
+from holo import analysis, cli, collector, controlplane as cp, overlay, simnet, toolbox
 from holo.collector import HourlyWriter, LocalLake, SyncPolicy, bucket_start_us, list_sealed, sync
 from holo.net import int_to_ip, ip_to_int
 from holo.controlplane import (
@@ -25,7 +26,7 @@ from holo.controlplane import (
 from holo.packets import PROTO_TCP, TCP_RST, TCP_SYN, TCP_ACK, FlowKey, PacketRecord
 from holo.simnet import ScannerProfile, SimConfig, SimSensor, scripted_client
 
-from flow_reference import tables_of
+from flow_reference import run_to_traces
 
 ADMIN = Principal("admin", cp.ROLE_ADMIN)
 
@@ -39,7 +40,7 @@ def report(criterion: int, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def two_day_run():
+def two_day_run(tmp_path_factory):
     config = SimConfig(
         seed=20250801,
         duration=2 * 86_400,
@@ -63,38 +64,35 @@ def two_day_run():
                            port_model={23: 1.0}, prefixes=["10.9.1.0/24"], total_packets=500),
         ],
     )
+    traces = tmp_path_factory.mktemp("two-day") / "traces"
     started = time.monotonic()
-    run_report = simnet.run(config)
+    run_report = run_to_traces(config, traces)
+    tables = cli._sensor_flows(traces)  # as `holo analyze` reads them
     elapsed = time.monotonic() - started
-    flows = {}
-    for sensor in ("s1", "s2", "s3"):
-        per_sensor = []
-        for day, pkts in sorted(analysis.bucket_by_day(run_report.paths[sensor].captured).items()):
-            per_sensor.extend(analysis.aggregate_flows(pkts, day))
-        flows[sensor] = per_sensor
-    return config, run_report, flows, elapsed
+    return config, run_report, tables, elapsed
 
 
 def test_criterion_01_end_to_end_flow_equality(two_day_run):
-    """3 /24 sensors, mixed scanners, 2 simulated days: flows == ground truth."""
-    config, run_report, flows, elapsed = two_day_run
+    """3 /24 sensors, mixed scanners, 2 simulated days: the flows of the
+    sealed traces == ground truth."""
+    config, run_report, tables, elapsed = two_day_run
     total_packets = len(run_report.ground_truth)
     assert total_packets > 100_000
     for sensor in ("s1", "s2", "s3"):
         aggregated = {
-            (rec.day, rec.key): rec.packets for rec in flows[sensor]
+            (rec.day, rec.key): rec.packets for rec in analysis.render_flows(tables[sensor])
         }
         expected = run_report.expected_flows_by_day(sensor)
         assert aggregated == expected, f"{sensor}: flow multiset differs from ground truth"
-    assert elapsed < 60.0, f"two-day run took {elapsed:.1f}s"
+    assert elapsed < 60.0, f"two-day run, write and analysis took {elapsed:.1f}s"
     report(1, f"{total_packets} packets, flow multisets exact on 3 sensors, {elapsed:.1f}s runtime")
 
 
 def test_criterion_02_overlap_oracle_and_threshold(two_day_run):
     """Overlap matrix equals set enumeration; 499-packet sender excluded."""
-    _, run_report, flows, _ = two_day_run
+    _, run_report, tables, _ = two_day_run
     min_packets = 500
-    matrix = analysis.common_sender_ratio(tables_of(flows), window_days=15, min_packets=min_packets)
+    matrix = analysis.common_sender_ratio(tables, window_days=15, min_packets=min_packets)
 
     # set-enumeration oracle straight from the ground-truth registry
     per_sensor_counts: dict[str, Counter] = {s: Counter() for s in ("s1", "s2", "s3")}
@@ -222,7 +220,7 @@ def test_criterion_06_rotation_partition(tmp_path):
         rec.ts = start + boundary_at.get(i, i * span // n)
         writer.append(rec, raw)
     writer.seal()
-    metas = writer.sealed
+    metas = [meta for _, meta in list_sealed(tmp_path)]
     assert len(metas) == 3
     assert sum(m.packet_count for m in metas) == n
     assert [m.hour_bucket for m in metas] == ["2025-08-01-10", "2025-08-01-11", "2025-08-01-12"]
@@ -387,7 +385,7 @@ def test_criterion_09_sync_safety_under_crashes(tmp_path):
                 rec.ts = start + h * 3_600_000_000 + p * 1000
                 writer.append(rec)
         writer.seal()
-        return base / "local", writer.sealed
+        return base / "local", [meta for _, meta in list_sealed(base / "local")]
 
     now = bucket_start_us("2025-08-01-02") / 1e6 + 30 * 24 * 3600.0
     policy = SyncPolicy(retention_hours=1)

@@ -578,7 +578,7 @@ def test_hourly_flow_blocks_merge_to_build_flows(ethernet, specs, start, rnd):
         for frame_ts, raw in frames:
             writer.append(PacketRecord(ts=frame_ts, src_ip=0, dst_ip=0, proto=0), raw)
         writer.close()
-        days = {m.hour_bucket[:10] for m in writer.sealed}
+        days = {m.hour_bucket[:10] for _, m in collector.list_sealed(traces)}
         assert len(list(traces.glob("*.flows"))) == len(days)  # one log per UTC day
         assert _merged_flow_logs(traces, rnd) == {"s1": expected}
         assert rendered(cli._sensor_flows(traces)) == {"s1": expected}

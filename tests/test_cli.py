@@ -105,20 +105,37 @@ def test_controller_interrupted_at_its_banner_exits_0_and_closes(tmp_path, monke
         socket.create_connection((host, int(port)), timeout=5).close()
 
 
-def test_sim_run_into_sealed_traces_keeps_them_and_warns(tmp_path, capsys):
-    from holo import cli
-
+def test_sim_run_into_sealed_traces_refuses_and_writes_nothing(tmp_path):
     doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "configs" / "sim-two-day.yaml").read_text())
     doc["duration"] = 600
     config = tmp_path / "sim.yaml"
     config.write_text(yaml.safe_dump(doc))
     out = tmp_path / "sim"
-    assert cli.main(["sim", "run", "-f", str(config), "--out", str(out)]) == 0
-    assert "warning" not in capsys.readouterr().err
-    traces = {p.name: p.read_bytes() for p in (out / "traces").iterdir()}
-    assert cli.main(["sim", "run", "-f", str(config), "--out", str(out)]) == 0
-    assert "packets not written" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in (out / "traces").iterdir()} == traces
+    run_cli("sim", "run", "-f", str(config), "--out", str(out))
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    doc["duration"] = 900  # a changed config must not rewrite the ground truth beside the traces
+    config.write_text(yaml.safe_dump(doc))
+    proc = run_cli("sim", "run", "-f", str(config), "--out", str(out), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
+
+@pytest.mark.parametrize("policy, flags", [
+    ("retention: 5\n", []),  # an unknown key
+    ("retention_hours: 0\n", []),
+    (None, ["--retention-hours", "0"]),
+])
+def test_sync_run_with_a_bad_policy_is_a_usage_error(tmp_path, policy, flags):
+    if policy is not None:
+        (tmp_path / "policy.yaml").write_text(policy)
+        flags = ["--policy", str(tmp_path / "policy.yaml")]
+    proc = run_cli("sync", "run", "--local", str(tmp_path / "local"), "--lake", str(tmp_path / "lake"),
+                   *flags, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "lake").exists()
 
 
 def write_descriptor(path, sensor_id, org="org-a", honeypot=True, ranges=("10.9.1.0/24",)):

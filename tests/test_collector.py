@@ -59,7 +59,7 @@ class TestRotation:
         w = HourlyWriter(tmp_path, "s1")
         w.append(record(H10 + 3599_999_999))
         w.append(record(H10 + 3_600_000_000))  # 11:00:00.000000
-        assert w.sealed[0].hour_bucket == "2025-08-01-10"
+        assert [m.hour_bucket for _, m in list_sealed(tmp_path)] == ["2025-08-01-10"]
         assert (tmp_path / "s1_2025-08-01-10.pcap.meta.json").exists()
         w.seal()
         assert (tmp_path / "s1_2025-08-01-11.pcap").exists()
@@ -69,9 +69,10 @@ class TestRotation:
         w.append(record(H10))
         w.append(record(H10 + 3 * 3_600_000_000))  # skips hours 11 and 12
         w.seal()
-        buckets = [m.hour_bucket for m in w.sealed]
+        sealed = [m for _, m in list_sealed(tmp_path)]
+        buckets = [m.hour_bucket for m in sealed]
         assert buckets == ["2025-08-01-10", "2025-08-01-11", "2025-08-01-12", "2025-08-01-13"]
-        assert [m.packet_count for m in w.sealed] == [1, 0, 0, 1]
+        assert [m.packet_count for m in sealed] == [1, 0, 0, 1]
 
     def test_timestamp_going_backwards_rejected(self, tmp_path):
         w = HourlyWriter(tmp_path, "s1")
@@ -87,10 +88,11 @@ class TestRotation:
         for i in range(n):
             w.append(record(H10 + i * span // n))
         w.seal()
-        assert len(w.sealed) == 3
-        assert sum(m.packet_count for m in w.sealed) == n
+        sealed = [m for _, m in list_sealed(tmp_path)]
+        assert len(sealed) == 3
+        assert sum(m.packet_count for m in sealed) == n
         # read-back conservation per file
-        for meta in w.sealed:
+        for meta in sealed:
             path = tmp_path / trace_filename("s1", meta.hour_bucket)
             assert sum(1 for _ in read_pcap(path)) == meta.packet_count
 
@@ -100,7 +102,7 @@ class TestSeal:
         w = HourlyWriter(tmp_path, "s1")
         w.append(record(H10))
         w.append(record(H10 + 3_600_000_000))
-        empty_like = w.sealed[0]
+        (_, empty_like), = list_sealed(tmp_path)
         assert empty_like.packet_count == 1
         w2 = HourlyWriter(tmp_path / "b", "s1")
         w2._open("2025-08-01-10")
@@ -147,7 +149,7 @@ class TestSeal:
             paused.append(record(H10 + i))
         assert paused.dropped == 2
         paused.close()
-        sealed = [(tmp_path / "a", m) for m in w.sealed] + [(tmp_path / "b", m) for m in paused.sealed]
+        sealed = [(tmp_path / d, m) for d in ("a", "b") for _, m in list_sealed(tmp_path / d)]
         assert [m.packet_count for _, m in sealed] == [2, 0, 0, 1, 3]
         for directory, meta in sealed:
             data = (directory / trace_filename("s1", meta.hour_bucket)).read_bytes()
@@ -175,12 +177,13 @@ class TestDiskFull:
         w.close()
         assert w.dropped > 0
         pcaps = sorted(tmp_path.glob("*.pcap"))
-        blocks = len(w.sealed)
+        sealed = [m for _, m in list_sealed(tmp_path)]
+        blocks = len(sealed)
         stored = sum(p.stat().st_size - 24 for p in pcaps)
         stored += sum(p.stat().st_size for p in tmp_path.glob("*.flows"))
         stored -= blocks * len(encode_flow_block([], "00" * 32))
         frames = sum(p.stat().st_size - 24 for p in pcaps)
-        assert frames + FLOW_ROW_SIZE * sum(m.packet_count for m in w.sealed) == stored
+        assert frames + FLOW_ROW_SIZE * sum(m.packet_count for m in sealed) == stored
         assert budget - (56 + FLOW_ROW_SIZE) < stored <= budget
 
 
@@ -211,7 +214,7 @@ class TestRestart:
         second = HourlyWriter(traces, "s1", on_event=events.append)
         for i in range(3):
             second.append(record(H10 + 10 + i, dport=23))
-        assert second.close() == []
+        assert second.close() is None
         assert second.dropped == 3
         assert events == [{"event": "hour-sealed", "sensor": "s1", "bucket": "2025-08-01-10"}]
         assert _files(traces) == sealed  # pcap, meta and flow log byte-identical
@@ -229,7 +232,8 @@ class TestRestart:
         second.append(record(H10 + 3 * HOUR_US))  # 12:00 sealed empty on the way
         second.close()
         assert second.dropped == 1
-        assert [m.hour_bucket for m in second.sealed] == ["2025-08-01-11", "2025-08-01-12", "2025-08-01-13"]
+        resumed = [m.hour_bucket for p, m in list_sealed(traces) if p.name not in sealed]
+        assert resumed == ["2025-08-01-11", "2025-08-01-12", "2025-08-01-13"]
         assert {name: _files(traces)[name] for name in sealed} == sealed
         walked = tmp_path / "walked"  # the same traces without flow logs
         walked.mkdir()
@@ -255,7 +259,8 @@ class TestRestart:
         (log,) = set(traces.glob("*.flows")) - {traces / "s1_2025-08-01-10.flows"}
         assert log.name == "s1_2025-08-01-10.1.flows"
         blocks = analysis.index_flow_logs([log])
-        assert list(blocks) == [(traces, w.sealed[0].content_hash)]
+        (_, meta), = list_sealed(traces)
+        assert list(blocks) == [(traces, meta.content_hash)]
         out = _analyze_flows(traces, tmp_path / "flows.csv")
         assert out.splitlines()[1].startswith(b"2025-08-01,198.51.100.7,10.9.0.5,6,40000,22,1,")
 
@@ -268,7 +273,7 @@ def make_sealed_dir(tmp_path, n_files=4, start="2025-08-01-10", packets_per=3):
         for p in range(packets_per):
             w.append(record(base + h * 3_600_000_000 + p * 1000))
     w.seal()
-    return local, w.sealed
+    return local, [meta for _, meta in list_sealed(local)]
 
 
 class TestSync:
@@ -410,7 +415,7 @@ class TestSync:
         for bucket in ("2025-08-01-21", "2025-08-01-23", "2025-08-02-00", "2025-08-02-02"):
             w.append(record(bucket_start_us(bucket)))  # hours 22 and 01 sealed empty
         w.close()
-        gap = [m.content_hash for m in w.sealed if m.packet_count == 0]
+        gap = [m.content_hash for _, m in list_sealed(local) if m.packet_count == 0]
         assert len(gap) == 2 and gap[0] == gap[1]
         lake = LocalLake(tmp_path / "lake")
         report = sync(SyncPolicy(retention_hours=1), local, lake, now=bucket_start_us("2025-08-02-01") / 1e6)
@@ -608,7 +613,8 @@ def _tcp_hours(directory, stamped_sizes, ethernet=False) -> list[TraceFileMeta]:
     for ts, size in stamped_sizes:
         ip = build_tcp(src, dst, 40000, 22, 1, 0, TCP_ACK, b"p" * size)
         w.append(PacketRecord(ts=ts, src_ip=0, dst_ip=0, proto=0), wrap_ethernet(ip) if ethernet else ip)
-    return w.close()
+    w.close()
+    return [meta for _, meta in list_sealed(directory)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from holo import darknet, toolbox
@@ -23,6 +25,12 @@ def record(dst, src="198.51.100.7", ts=0, dport=22):
 
 
 RANGE24 = AddressRange.parse("10.9.0.0/24")
+
+
+def collecting(config, **kwargs):
+    """A handle attached with a sink, and the list of records it captured."""
+    records = []
+    return attach(config, sink=lambda record, raw: records.append(record), **kwargs), records
 
 
 class TestConfig:
@@ -62,10 +70,10 @@ def test_address_range_identity_is_base_and_prefix():
 
 class TestModes:
     def test_direct_captures_in_range(self):
-        handle = attach(DarknetConfig(ranges=(RANGE24,)))
+        handle, records = collecting(DarknetConfig(ranges=(RANGE24,)))
         assert handle.offer(record("10.9.0.77"))
         assert not handle.offer(record("10.8.0.1"))
-        assert [int_to_ip(r.dst_ip) for r in handle.records] == ["10.9.0.77"]
+        assert [int_to_ip(r.dst_ip) for r in records] == ["10.9.0.77"]
 
     def test_arp_mode_requires_prior_claim(self):
         config = DarknetConfig(ranges=(RANGE24,), mode=darknet.MODE_ARP)
@@ -78,12 +86,14 @@ class TestModes:
     def test_mode_equivalence_direct_vs_routed(self):
         """Identical inbound multisets capture identical record multisets."""
         packets = [record(f"10.9.0.{i % 256}", ts=i) for i in range(500)]
-        direct = attach(DarknetConfig(ranges=(RANGE24,)))
-        routed = attach(DarknetConfig(ranges=(RANGE24,), mode=darknet.MODE_ROUTED, sensor_ip="10.8.0.1"))
+        direct, direct_records = collecting(DarknetConfig(ranges=(RANGE24,)))
+        routed, routed_records = collecting(
+            DarknetConfig(ranges=(RANGE24,), mode=darknet.MODE_ROUTED, sensor_ip="10.8.0.1")
+        )
         for pkt in packets:
             direct.offer(pkt)
             routed.offer(pkt)
-        assert direct.records == routed.records
+        assert direct_records == routed_records
 
     def test_pcap_replay_source(self, tmp_path):
         rows = []
@@ -92,9 +102,23 @@ class TestModes:
             rows.append((1000 + i, build_tcp(ip_to_int("198.51.100.7"), ip_to_int(dst), 40000, 22, 5, 0, TCP_SYN)))
         path = tmp_path / "replay.pcap"
         write_pcap(path, rows, link_type=LINK_RAW_IPV4)
-        handle = attach(DarknetConfig(ranges=(RANGE24,)), source=str(path))
+        handle, records = collecting(DarknetConfig(ranges=(RANGE24,)), source=str(path))
         assert handle.stats.captured == 10
-        assert all(int_to_ip(r.dst_ip).startswith("10.9.0.") for r in handle.records)
+        assert all(int_to_ip(r.dst_ip).startswith("10.9.0.") for r in records)
+
+    def test_handle_without_sink_only_counts(self):
+        """50k captured frames through a handle with no sink: memory stays flat."""
+        src, base = ip_to_int("198.51.100.7"), ip_to_int("10.9.0.0")
+        frames = ((i, build_tcp(src, base + i % 256, 40000, 22, 5, 0, TCP_SYN), LINK_RAW_IPV4) for i in range(50_000))
+        handle = CaptureHandle(DarknetConfig(ranges=(RANGE24,)))
+        tracemalloc.start()
+        try:
+            assert handle.drain(frames) == 50_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert handle.stats.captured == 50_000
+        assert peak < 2 << 20
 
 
 class TestArpResponder:

@@ -104,12 +104,13 @@ def test_trace_sync_over_overlay_channel(hub, tmp_path):
                     ts=base + h * 3_600_000_000 + p, src_ip=ip_to_int("1.1.1.1"), dst_ip=ip_to_int("10.9.1.5"),
                     proto=PROTO_TCP, src_port=1, dst_port=22, tcp_flags=TCP_SYN,
                 ))
-        sealed = writer.seal()
+        writer.seal()
+        metas = [meta for _, meta in collector.list_sealed(local)]
         lake_client = OverlayLakeClient(proc)
         report = sync(SyncPolicy(retention_hours=99999), local, lake_client, now=0.0)
         assert report.uploaded == 2
         # the hub's lake now holds hash-verified copies
-        for meta in writer.sealed:
+        for meta in metas:
             assert hub.lake.verified_hash("A1", meta.hour_bucket) == meta.content_hash
         again = sync(SyncPolicy(retention_hours=99999), local, lake_client, now=0.0)
         assert again.uploaded == 0 and again.skipped == 2

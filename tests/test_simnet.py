@@ -1,12 +1,13 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
 import yaml
 
-from holo import analysis, simnet
+from holo import analysis, cli, simnet
 from holo.analysis import classify_backscatter
-from holo.net import AddressRange, int_to_ip
-from holo.packets import PROTO_TCP, TCP_ACK, TCP_SYN, FlowKey
+from holo.net import AddressRange, int_to_ip, ip_to_int
+from holo.packets import PROTO_TCP, TCP_ACK, TCP_SYN, PacketRecord
 from holo.simnet import (
     ConfigInvalid,
     ScannerProfile,
@@ -18,7 +19,7 @@ from holo.simnet import (
     scripted_client,
 )
 
-from flow_reference import tables_of
+from flow_reference import run_to_traces, sensor_packets
 
 
 def two_sensor_config(seed=11, duration=600.0, mode="direct"):
@@ -86,16 +87,16 @@ class TestConfig:
 
 
 class TestGroundTruth:
-    def test_closure_capture_subset_of_generated(self):
-        report = run(two_sensor_config())
+    def test_closure_capture_subset_of_generated(self, tmp_path):
+        report = run_to_traces(two_sensor_config(), tmp_path)
         for sensor in ("s1", "s2"):
             generated = Counter(
                 (gt.ts, gt.src_ip, gt.dst_ip, gt.src_port, gt.dst_port)
                 for gt in report.ground_truth if gt.sensor == sensor
             )
             captured = Counter(
-                (r.ts, int_to_ip(r.src_ip), int_to_ip(r.dst_ip), r.src_port, r.dst_port)
-                for r in report.paths[sensor].captured
+                (ts, int_to_ip(src), int_to_ip(dst), sport, dport)
+                for ts, src, dst, _, sport, dport, _, _ in sensor_packets(tmp_path, sensor)
             )
             assert not captured - generated  # capture ⊆ generated
             expected = Counter(
@@ -104,29 +105,25 @@ class TestGroundTruth:
             )
             assert captured == expected  # difference is exactly the excluded packets
 
-    def test_uniform_sweep_sender_sets_equal_overlap_one(self):
-        report = run(two_sensor_config(duration=3600.0))
-        sensor_flows = {}
-        for sensor in ("s1", "s2"):
-            caps = report.paths[sensor].captured
-            flows = []
-            for day, pkts in analysis.bucket_by_day(caps).items():
-                flows.extend(analysis.aggregate_flows(pkts, day))
-            sensor_flows[sensor] = flows
-        matrix = analysis.common_sender_ratio(tables_of(sensor_flows), min_packets=10)
+    def test_uniform_sweep_sender_sets_equal_overlap_one(self, tmp_path):
+        run_to_traces(two_sensor_config(duration=3600.0), tmp_path)
+        matrix = analysis.common_sender_ratio(cli._sensor_flows(tmp_path), min_packets=10)
         assert matrix.ratio == [[1.0, 1.0], [1.0, 1.0]]
         # ground-truth registry names exactly the scanner sources
         assert set(matrix.sender_sets["s1"]) == {"203.0.113.10", "203.0.113.11"}
 
-    def test_backscatter_only_run_classifies_100_percent(self):
+    def test_backscatter_only_run_classifies_100_percent(self, tmp_path):
         config = SimConfig(
             seed=5, duration=300.0,
             sensors=[SimSensor("s1", ["10.9.1.0/24"])],
             scanners=[ScannerProfile("bs", "backscatter", rate=5.0, port_model="es-ddos",
                                      victims=["198.18.0.1", "198.18.0.2", "198.18.0.3"])],
         )
-        report = run(config)
-        captured = report.paths["s1"].captured
+        report = run_to_traces(config, tmp_path)
+        captured = [
+            PacketRecord(ts=ts, src_ip=src, dst_ip=dst, proto=proto, src_port=sport, dst_port=dport, tcp_flags=flags)
+            for ts, src, dst, proto, sport, dport, flags, _ in sensor_packets(tmp_path, "s1")
+        ]
         assert captured
         assert all(classify_backscatter(r) for r in captured if r.proto == PROTO_TCP)
         # generator labels agree: every ground-truth row is from the spoofer
@@ -166,14 +163,14 @@ class TestGroundTruth:
             assert counters["outbound_emitted"] == 0
             assert counters["outbound_suppressed"] == counters["captured"]
 
-    def test_arp_mode_first_packet_lost_then_captured(self):
+    def test_arp_mode_first_packet_lost_then_captured(self, tmp_path):
         config = SimConfig(
             seed=2, duration=400.0,
             sensors=[SimSensor("s1", ["10.9.1.0/24"], mode="arp")],
             scanners=[ScannerProfile("u", "uniform", src_ip="203.0.113.1", rate=2.0,
                                      port_model={22: 1.0}, sequential=True)],
         )
-        report = run(config)
+        report = run_to_traces(config, tmp_path)
         path = report.paths["s1"]
         # sequential sweep: every dst is fresh, so each first packet is lost
         # to the ARP exchange and only already-claimed dsts are captured
@@ -185,8 +182,24 @@ class TestGroundTruth:
                 assert not gt.expect_capture
                 first_seen.add(gt.dst_ip)
         captured = Counter((g.ts, g.dst_ip) for g in gts if g.expect_capture)
-        actual = Counter((r.ts, int_to_ip(r.dst_ip)) for r in path.captured)
+        actual = Counter((ts, int_to_ip(dst)) for ts, _, dst, *_ in sensor_packets(tmp_path, "s1"))
         assert actual == captured
+
+
+def test_sensor_path_holds_no_captured_packets():
+    """50k captured packets through a path without a writer: memory stays flat."""
+    path = simnet.SensorPath(SimSensor("s1", ["10.9.1.0/24"]))
+    src, base = ip_to_int("203.0.113.10"), ip_to_int("10.9.1.0")
+    tracemalloc.start()
+    try:
+        for i in range(50_000):
+            path.inject(PacketRecord(ts=simnet.DEFAULT_START_US + i, src_ip=src, dst_ip=base + i % 256,
+                                     proto=PROTO_TCP, src_port=40000, dst_port=22, tcp_flags=TCP_SYN))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.counters.captured == 50_000
+    assert peak < 2 << 20
 
 
 class TestScriptedClient:
