@@ -22,6 +22,7 @@ from . import darknet as darknet_mod
 from . import overlay
 from . import responder as responder_mod
 from . import toolbox
+from .assembly import assemble
 from .hub import admin_request, pack_control, read_frame, unpack_control
 
 log = logging.getLogger("holo.agent")
@@ -43,41 +44,6 @@ class ModuleInstance:
             status=self.status,
             version=self.spec.version,
         ).to_doc()
-
-
-def effective_darknet_config(spec: cp.ModuleSpec, specs: list[cp.ModuleSpec]) -> darknet_mod.DarknetConfig:
-    """Darknet config with any co-deployed responder ranges carved out."""
-    responders = []
-    for other in specs:
-        if other.module_kind == cp.KIND_RESPONDER:
-            responders.extend(other.params["ip_ranges"])
-    return darknet_mod.carve_out_responders(darknet_mod.config_from_doc(spec.params), responders)
-
-
-def build_sensor_program(specs: list[cp.ModuleSpec], generation: int = 1):
-    """Merge the steering rules of every module spec into one program.
-
-    Returns (program, limiter_params) where limiter_params maps limiter
-    ids to (rate, burst) for emission.
-    """
-    rules: list[toolbox.SteeringRule] = []
-    limiters: dict[str, tuple[float, float]] = {}
-    rate, burst = 100.0, 100.0
-    for spec in specs:
-        if spec.module_kind == cp.KIND_TOOLBOX:
-            rate = float(spec.params.get("egress_rate", rate))
-            burst = float(spec.params.get("egress_burst", burst))
-    for spec in specs:
-        if spec.module_kind == cp.KIND_DARKNET:
-            rules.extend(darknet_mod.darknet_rules(effective_darknet_config(spec, specs)))
-        elif spec.module_kind == cp.KIND_RESPONDER:
-            cfg = responder_mod.config_from_doc(spec.params)
-            rules.extend(responder_mod.steering_rules(cfg, "egress"))
-    limiters["egress"] = (rate, burst)
-    dedup: dict[int, toolbox.SteeringRule] = {}
-    for rule in rules:
-        dedup[rule.priority] = rule
-    return toolbox.compile(list(dedup.values()), generation=generation), limiters
 
 
 class AgentCore:
@@ -136,13 +102,13 @@ class AgentCore:
     def _refresh_program(self) -> None:
         specs = [i.spec for i in self.instances.values() if i.status == cp.ST_RUNNING]
         self.generation += 1
-        program, limiters = build_sensor_program(specs, generation=self.generation)
+        built = assemble([(s.module_kind, s.params) for s in specs], generation=self.generation)
         if self.program_holder is None:
-            self.program_holder = toolbox.ProgramHolder(program)
+            self.program_holder = toolbox.ProgramHolder(built.program)
         else:
-            self.program_holder.swap(program)
+            self.program_holder.swap(built.program)
         if self.data_dir is not None:
-            toolbox.write_rules(self.data_dir, self.sensor_id, program, limiters=limiters)
+            toolbox.write_rules(self.data_dir, self.sensor_id, built.program, limiters=built.limiters)
 
     # -- actions ----------------------------------------------------------
 

@@ -322,13 +322,13 @@ def cmd_rules_emit(args) -> int:
     if args.file:
         import yaml
 
-        from .agent import build_sensor_program
+        from .assembly import assemble
         from .toolbox import emit_iptables
 
         docs = yaml.safe_load(Path(args.file).read_text())
         specs = [_spec_from_doc(d) for d in (docs if isinstance(docs, list) else [docs])]
-        program, limiters = build_sensor_program(specs)
-        text = emit_iptables(program, limiters=limiters)
+        built = assemble([(s.module_kind, s.params) for s in specs])
+        text = emit_iptables(built.program, limiters=built.limiters)
     else:
         reply = _admin(args, {"op": "rules_emit", "sensor_id": args.sensor})
         text = reply["text"]

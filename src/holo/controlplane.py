@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import HoloError, overlay
+from .assembly import KIND_COLLECTOR, KIND_DARKNET, KIND_RESPONDER, KIND_TOOLBOX, KIND_WORKLOAD, MODULE_KINDS
 from .net import AddressRange, ranges_overlap
 
 HEARTBEAT_INTERVAL = 10.0
@@ -28,13 +29,6 @@ MISSED_HEARTBEATS_LIMIT = 3
 ROLE_ADMIN = "admin"
 ROLE_ORG = "org-operator"
 ROLE_READER = "reader"
-
-KIND_DARKNET = "darknet"
-KIND_RESPONDER = "responder"
-KIND_TOOLBOX = "toolbox"
-KIND_COLLECTOR = "collector"
-KIND_WORKLOAD = "workload"
-MODULE_KINDS = (KIND_DARKNET, KIND_RESPONDER, KIND_TOOLBOX, KIND_COLLECTOR, KIND_WORKLOAD)
 
 ST_PENDING = "pending"
 ST_RUNNING = "running"
@@ -383,12 +377,14 @@ class Controller:
         self._peers: Optional[dict[str, overlay.PeerIdentity]] = None
         self.reported: dict[str, SensorReport] = {}
         self._seq = 0
-        self._log_fh = None
+        self._log_fh = None  # unbuffered: a failed append leaves no bytes behind
+        self._log_end = 0  # the length of state.log's complete lines
 
         self.hub_private, self.hub_public = self._load_or_create_hub_key()
         if self.data_dir is not None:
             self._replay()
-            self._log_fh = open(self.data_dir / "state.log", "a")
+            self._log_fh = open(self.data_dir / "state.log", "ab", buffering=0)
+            self._log_end = self._log_fh.seek(0, os.SEEK_END)
 
     # -- persistence -----------------------------------------------------
 
@@ -408,14 +404,23 @@ class Controller:
         return priv, pub
 
     def _record(self, event: dict) -> None:
-        """Apply an event and append it to the log (single source of truth)."""
+        """Append an event to the log (single source of truth), then apply it.
+
+        A failed append cuts state.log back to its last complete line and
+        raises before memory changes.
+        """
+        if self.data_dir is not None:
+            line = (json.dumps({"seq": self._seq + 1, "event": event}, sort_keys=True) + "\n").encode()
+            try:
+                written = self._log_fh.write(line)
+                if written != len(line):
+                    raise OSError(f"short write to state.log: {written} of {len(line)} bytes")
+            except BaseException:
+                self._log_fh.truncate(self._log_end)
+                raise
+            self._log_end += len(line)
+            self._seq += 1
         self._apply(event)
-        if self.data_dir is None:
-            return
-        self._seq += 1
-        doc = {"seq": self._seq, "event": event}
-        self._log_fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        self._log_fh.flush()
 
     def _apply(self, event: dict) -> None:
         op = event["op"]

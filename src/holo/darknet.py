@@ -2,8 +2,8 @@
 
 Three attachment modes: addresses assigned directly to the sensor NIC,
 router-forwarded traffic, or ARP-reply claiming. Captured packets become
-PacketRecords; the module asks the toolbox for steering rules on attach
-so nothing ever answers from darknet space.
+PacketRecords; darknet_rules gives the steering rules that keep darknet
+space silent.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ MODE_ARP = "arp"
 ATTACHMENT_MODES = (MODE_DIRECT, MODE_ROUTED, MODE_ARP)
 
 ARP_REPLY_RATE = 10.0  # replies per second per querying source
-
-# Priority bands used when module rule sets are merged into one program.
-PRIO_OUTBOUND_DROP = 10
-PRIO_INBOUND_ADMIT = 510
 
 
 class DarknetError(HoloError):
@@ -69,13 +65,12 @@ def config_from_doc(params: dict) -> DarknetConfig:
     )
 
 
-def carve_out_responders(config: DarknetConfig, responder_ranges) -> DarknetConfig:
-    """config with responder_ranges (CIDR strings) carved out of its ranges.
+def carve_out_responders(config: DarknetConfig, holes: list[AddressRange]) -> DarknetConfig:
+    """config with the responder ranges `holes` carved out of its ranges.
 
     Responder space must answer, so it can never sit under the darknet's
     outbound drop rules.
     """
-    holes = [AddressRange.parse(r) for r in responder_ranges]
     if not holes:
         return config
     carved = [part for rng in config.ranges for part in exclude_ranges(rng, holes)]
@@ -125,30 +120,13 @@ def darknet_rules(config: DarknetConfig) -> list[toolbox.SteeringRule]:
     """Steering rules keeping darknet space silent and admitted to capture.
 
     Outbound packets sourced from any darknet range are dropped; inbound
-    packets to the ranges are accepted. Rules are priority-ordered by
-    range base address.
+    packets to the ranges are accepted. The drops come first, then the
+    admits, each ordered by range base address.
     """
     ordered = sorted(config.ranges, key=lambda r: (r.base_int, r.prefix_len))
-    rules = []
-    for i, rng in enumerate(ordered):
-        rules.append(
-            toolbox.SteeringRule(
-                priority=PRIO_OUTBOUND_DROP + 10 * i,
-                direction=toolbox.OUT,
-                match=toolbox.Match(src_range=rng),
-                action=toolbox.Drop(),
-            )
-        )
-    for i, rng in enumerate(ordered):
-        rules.append(
-            toolbox.SteeringRule(
-                priority=PRIO_INBOUND_ADMIT + 10 * i,
-                direction=toolbox.IN,
-                match=toolbox.Match(dst_range=rng),
-                action=toolbox.Accept(),
-            )
-        )
-    return rules
+    drops = [toolbox.SteeringRule(toolbox.OUT, toolbox.Match(src_range=r), toolbox.Drop()) for r in ordered]
+    admits = [toolbox.SteeringRule(toolbox.IN, toolbox.Match(dst_range=r), toolbox.Accept()) for r in ordered]
+    return drops + admits
 
 
 @dataclass
@@ -207,13 +185,11 @@ def attach(
     source=None,
     descriptor_ranges: Optional[Iterable[AddressRange]] = None,
     sink: Optional[Callable] = None,
-    install_rules: Optional[Callable] = None,
 ) -> CaptureHandle:
     """Open a capture stream for the configured ranges.
 
     descriptor_ranges, when given, must cover config.ranges (a darknet may
-    not claim address space its sensor does not own). install_rules is the
-    toolbox hook invoked with this darknet's steering rules.
+    not claim address space its sensor does not own).
     """
     if descriptor_ranges is not None:
         owned = list(descriptor_ranges)
@@ -223,8 +199,6 @@ def attach(
             ):
                 raise InvalidConfig(f"range {rng} outside the sensor's address space")
     handle = CaptureHandle(config, sink=sink)
-    if install_rules is not None:
-        install_rules(darknet_rules(config))
     if source is not None:
         if isinstance(source, (str, Path)):
             if not Path(source).exists():

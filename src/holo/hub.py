@@ -19,6 +19,8 @@ from pathlib import Path
 from . import collector as collector_mod
 from . import controlplane as cp
 from . import overlay
+from .assembly import assemble
+from .toolbox import emit_iptables
 
 log = logging.getLogger("holo.hub")
 
@@ -349,16 +351,12 @@ class HubServer:
                 self.controller.add_principal(self._principal(doc), new)
                 return {"ok": True}
             if op == "rules_emit":
-                from .agent import build_sensor_program
-
                 sensor_id = doc["sensor_id"]
                 if sensor_id not in self.controller.sensors:
                     raise cp.UnknownSensor(f"no sensor {sensor_id!r}")
                 specs = self.controller.desired_state().get(sensor_id, [])
-                program, limiters = build_sensor_program(specs)
-                from .toolbox import emit_iptables
-
-                return {"ok": True, "text": emit_iptables(program, limiters=limiters)}
+                built = assemble([(s.module_kind, s.params) for s in specs])
+                return {"ok": True, "text": emit_iptables(built.program, limiters=built.limiters)}
             if op == "events":
                 self._principal(doc)
                 with self._events_lock:

@@ -27,11 +27,7 @@ from .packets import (
 )
 
 DEFAULT_BACKEND = "l4"
-
-# Priority bands when responder rules are merged into a sensor program.
-PRIO_STEER = 100
-PRIO_RST_GUARD = 210
-PRIO_EGRESS_LIMIT = 250
+EGRESS_LIMITER = "egress"  # the token bucket that bounds what the responder sends
 
 SYN_RECEIVED = "syn-received"
 ESTABLISHED = "established"
@@ -104,48 +100,35 @@ def config_from_doc(doc: dict) -> ResponderConfig:
     )
 
 
-def steering_rules(cfg: ResponderConfig, limiter_id: str = "egress") -> list[toolbox.SteeringRule]:
+def steering_rules(cfg: ResponderConfig) -> list[toolbox.SteeringRule]:
     """Steer exposed traffic to the responder; guard and rate-limit its egress.
 
     The guard drops any TCP RST sourced from responder space (the kernel
     would otherwise answer for ports the responder leaves silent); the
-    limiter covers everything else the responder sends.
+    EGRESS_LIMITER covers everything else the responder sends. The steers
+    come first, then the guards, then the limits.
     """
-    rules = []
-    prio = PRIO_STEER
-    for rng in sorted(cfg.ip_ranges):
-        for ports in sorted(cfg.port_set):
-            rules.append(
-                toolbox.SteeringRule(
-                    priority=prio,
-                    direction=toolbox.IN,
-                    match=toolbox.Match(dst_range=rng, proto=PROTO_TCP, dst_ports=(ports,)),
-                    action=toolbox.SteerToBackend(DEFAULT_BACKEND),
-                )
-            )
-            prio += 1
-    guard = PRIO_RST_GUARD
-    limit = PRIO_EGRESS_LIMIT
-    for rng in sorted(cfg.ip_ranges):
-        rules.append(
-            toolbox.SteeringRule(
-                priority=guard,
-                direction=toolbox.OUT,
-                match=toolbox.Match(src_range=rng, proto=PROTO_TCP, tcp_flag_mask=TCP_RST),
-                action=toolbox.Drop(),
-            )
+    ranges = sorted(cfg.ip_ranges)
+    steers = [
+        toolbox.SteeringRule(
+            toolbox.IN,
+            toolbox.Match(dst_range=rng, proto=PROTO_TCP, dst_ports=(ports,)),
+            toolbox.SteerToBackend(DEFAULT_BACKEND),
         )
-        rules.append(
-            toolbox.SteeringRule(
-                priority=limit,
-                direction=toolbox.OUT,
-                match=toolbox.Match(src_range=rng),
-                action=toolbox.RateLimit(limiter_id),
-            )
+        for rng in ranges
+        for ports in sorted(cfg.port_set)
+    ]
+    guards = [
+        toolbox.SteeringRule(
+            toolbox.OUT, toolbox.Match(src_range=rng, proto=PROTO_TCP, tcp_flag_mask=TCP_RST), toolbox.Drop()
         )
-        guard += 1
-        limit += 1
-    return rules
+        for rng in ranges
+    ]
+    limits = [
+        toolbox.SteeringRule(toolbox.OUT, toolbox.Match(src_range=rng), toolbox.RateLimit(EGRESS_LIMITER))
+        for rng in ranges
+    ]
+    return steers + guards + limits
 
 
 def keyed_isn(seed: bytes, key: tuple) -> int:

@@ -21,6 +21,7 @@ from . import collector as collector_mod
 from . import darknet as darknet_mod
 from . import responder as responder_mod
 from . import toolbox
+from .assembly import KIND_DARKNET, KIND_RESPONDER, KIND_TOOLBOX, assemble
 from .net import AddressRange, any_contains, int_to_ip, ip_to_int
 from .packets import (
     ORIGIN_RESPONDER,
@@ -182,21 +183,21 @@ class SensorPath:
         self.counters = PathCounters()
         self.responder_events: list[dict] = []
 
-        # the darknet keeps to passive space: the responder's ranges are carved out
-        self.darknet_config = darknet_mod.carve_out_responders(
-            darknet_mod.DarknetConfig(
-                ranges=tuple(sim_sensor.ranges), mode=sim_sensor.mode, sensor_ip=sim_sensor.sensor_ip
-            ),
-            () if sim_sensor.responder is None else sim_sensor.responder["ip_ranges"],
-        )
-        rules = darknet_mod.darknet_rules(self.darknet_config)
+        modules = [
+            (KIND_DARKNET, {"ranges": [str(r) for r in sim_sensor.ranges], "mode": sim_sensor.mode,
+                            "sensor_ip": sim_sensor.sensor_ip}),
+            (KIND_TOOLBOX, {"egress_rate": sim_sensor.egress_rate, "egress_burst": sim_sensor.egress_burst}),
+        ]
         self.responder = None
-        self.limiter = toolbox.TokenBucket(rate=sim_sensor.egress_rate, burst=sim_sensor.egress_burst)
         if sim_sensor.responder is not None:
-            cfg = responder_mod.config_from_doc(sim_sensor.responder)
-            self.responder = responder_mod.Responder(cfg)
-            rules += responder_mod.steering_rules(cfg, "egress")
-        self.program = toolbox.compile(rules)
+            modules.append((KIND_RESPONDER, sim_sensor.responder))
+            self.responder = responder_mod.Responder(responder_mod.config_from_doc(sim_sensor.responder))
+        built = assemble(modules)
+        self.program = built.program
+        # the darknet keeps to passive space: the responder's ranges are carved out
+        (self.darknet_config,) = built.darknets
+        rate, burst = built.limiters[responder_mod.EGRESS_LIMITER]
+        self.limiter = toolbox.TokenBucket(rate=rate, burst=burst)
         self.handle = darknet_mod.attach(
             self.darknet_config,
             descriptor_ranges=sim_sensor.ranges,

@@ -21,10 +21,6 @@ class ToolboxError(HoloError):
     pass
 
 
-class DuplicatePriority(ToolboxError):
-    pass
-
-
 class EmptyMatch(ToolboxError):
     pass
 
@@ -86,7 +82,6 @@ class Match:
 
 @dataclass(frozen=True)
 class SteeringRule:
-    priority: int
     direction: str
     match: Match
     action: Action
@@ -112,7 +107,7 @@ def _lower(rule: SteeringRule) -> tuple:
 
 @dataclass(frozen=True)
 class RuleProgram:
-    """Priority-ordered rules plus, per direction, their lowered tuples.
+    """Ordered rules plus, per direction, their lowered tuples.
 
     `rules` is what emit_iptables renders; evaluate walks only `lowered`.
     """
@@ -131,18 +126,13 @@ class RuleProgram:
 
 
 def compile(rules, generation: int = 1) -> RuleProgram:
-    """Validate and priority-sort a rule list into an immutable program."""
-    seen = set()
-    for rule in rules:
-        if rule.priority in seen:
-            raise DuplicatePriority(f"priority {rule.priority} used twice")
-        seen.add(rule.priority)
+    """Validate a rule list into an immutable program; list order is match order."""
+    for i, rule in enumerate(rules):
         if rule.match.is_empty():
-            raise EmptyMatch(f"rule at priority {rule.priority} matches nothing")
+            raise EmptyMatch(f"rule {i} matches nothing")
         if rule.direction not in (IN, OUT):
             raise ToolboxError(f"bad direction {rule.direction!r}")
-    ordered = tuple(sorted(rules, key=lambda r: r.priority))
-    return RuleProgram(rules=ordered, generation=generation)
+    return RuleProgram(rules=tuple(rules), generation=generation)
 
 
 def _in_ports(ranges: tuple, port: int) -> bool:
@@ -153,7 +143,7 @@ def _in_ports(ranges: tuple, port: int) -> bool:
 
 
 def evaluate(program: RuleProgram, pkt: PacketRecord, direction: str) -> Action:
-    """Action of the first matching rule in priority order; pure."""
+    """Action of the first matching rule in program order; pure."""
     src, dst, proto = pkt.src_ip, pkt.dst_ip, pkt.proto
     rules = program.lowered.get(direction, ())
     for smask, sval, dmask, dval, rproto, sports, dports, flag_mask, action in rules:
@@ -227,22 +217,11 @@ def allow(bucket: TokenBucket, now: float, n: int) -> int:
 # --- iptables emission -------------------------------------------------
 
 _PROTO_WORD = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
-_WORD_PROTO = {v: k for k, v in _PROTO_WORD.items()}
 
 
 def _flags_to_names(mask: int) -> str:
     names = [name for bit, name in FLAG_NAMES if mask & bit]
     return ",".join(names) if names else "NONE"
-
-
-def _names_to_flags(text: str) -> int:
-    lookup = {name: bit for bit, name in FLAG_NAMES}
-    mask = 0
-    if text == "NONE":
-        return 0
-    for name in text.split(","):
-        mask |= lookup[name]
-    return mask
 
 
 def _ports_text(ranges: tuple[PortRange, ...]) -> str:
@@ -342,102 +321,3 @@ def write_rules(directory, sensor_id: str, program: RuleProgram, **emit_kwargs) 
     path = sensor_dir / f"holo-rules-{program.generation}.v4"
     path.write_text(emit_iptables(program, **emit_kwargs))
     return path
-
-
-def _parse_ports(text: str) -> tuple[PortRange, ...]:
-    out = []
-    for piece in text.split(","):
-        lo, _, hi = piece.partition(":")
-        out.append(PortRange(int(lo), int(hi) if hi else int(lo)))
-    return tuple(out)
-
-
-def parse_iptables(text: str, chain_prefix: str = "HOLO"):
-    """Parse emitted text back into (program, limiters, backend_ports).
-
-    Inverse of emit_iptables on the representable subset: re-emitting the
-    parsed program with the returned mappings reproduces the text.
-    """
-    chain_in = f"{chain_prefix}-IN"
-    chain_out = f"{chain_prefix}-OUT"
-    rules = []
-    limiters: dict = {}
-    backend_ports: dict = {}
-    priority = 10
-    pending_comment_backend = None
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("# holo:steer backend="):
-            pending_comment_backend = line.split("backend=", 1)[1].split(" ")[0]
-            continue
-        if not line.startswith("-A "):
-            continue
-        tokens = line.split()
-        chain = tokens[1]
-        if chain not in (chain_in, chain_out):
-            continue
-        direction = IN if chain == chain_in else OUT
-        match_kwargs: dict = {}
-        action = None
-        i = 2
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok == "-s":
-                match_kwargs["src_range"] = AddressRange.parse(tokens[i + 1])
-                i += 2
-            elif tok == "-d":
-                match_kwargs["dst_range"] = AddressRange.parse(tokens[i + 1])
-                i += 2
-            elif tok == "-p":
-                word = tokens[i + 1]
-                match_kwargs["proto"] = _WORD_PROTO.get(word, None)
-                if match_kwargs["proto"] is None:
-                    match_kwargs["proto"] = int(word)
-                i += 2
-            elif tok == "-m" and tokens[i + 1] in ("multiport", "limit"):
-                i += 2
-            elif tok in ("--sport", "--sports"):
-                match_kwargs["src_ports"] = _parse_ports(tokens[i + 1])
-                i += 2
-            elif tok in ("--dport", "--dports"):
-                match_kwargs["dst_ports"] = _parse_ports(tokens[i + 1])
-                i += 2
-            elif tok == "--tcp-flags":
-                match_kwargs["tcp_flag_mask"] = _names_to_flags(tokens[i + 1])
-                i += 3
-            elif tok == "--limit":
-                rate = int(tokens[i + 1].split("/")[0])
-                burst = 100
-                if "--limit-burst" in tokens:
-                    burst = int(tokens[tokens.index("--limit-burst") + 1])
-                limiter_id = f"limit-{rate}-{burst}"
-                limiters[limiter_id] = (rate, burst)
-                action = RateLimit(limiter_id)
-                i += 2
-            elif tok == "--limit-burst":
-                i += 2
-            elif tok == "-j":
-                target = tokens[i + 1]
-                if target == "DROP":
-                    action = Drop()
-                elif target == "ACCEPT":
-                    action = action or Accept()
-                elif target == "REDIRECT":
-                    if "--to-ports" in tokens:
-                        port = int(tokens[tokens.index("--to-ports") + 1])
-                        backend = f"backend-{port}"
-                        backend_ports[backend] = port
-                        action = SteerToBackend(backend)
-                    else:
-                        action = SteerToBackend(pending_comment_backend or "l4")
-                    pending_comment_backend = None
-                i += 2
-            elif tok == "--to-ports":
-                i += 2
-            else:
-                raise ToolboxError(f"unparsed token {tok!r} in {line!r}")
-        if action is None:
-            raise ToolboxError(f"no action in {line!r}")
-        rules.append(SteeringRule(priority, direction, Match(**match_kwargs), action))
-        priority += 10
-    return compile(rules), limiters, backend_ports

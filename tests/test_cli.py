@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -254,6 +255,41 @@ def test_rules_emit_offline(tmp_path):
     }]))
     proc = run_cli("rules", "emit", "-f", str(spec_path))
     assert "-A HOLO-OUT -s 10.9.7.0/24 -j DROP" in proc.stdout
+
+
+DEPLOY_PAIR_RULES = """\
+*filter
+:HOLO-IN - [0:0]
+:HOLO-OUT - [0:0]
+-A INPUT -j HOLO-IN
+-A OUTPUT -j HOLO-OUT
+-A HOLO-OUT -s 10.9.1.0/25 -j DROP
+-A HOLO-OUT -s 10.9.1.128/26 -j DROP
+-A HOLO-OUT -s 10.9.1.192/27 -j DROP
+-A HOLO-OUT -s 10.9.1.224/28 -j DROP
+# holo:steer backend=l4 (no port mapping)
+-A HOLO-IN -d 10.9.1.240/28 -p tcp --dport 1:1023 -j REDIRECT
+-A HOLO-OUT -s 10.9.1.240/28 -p tcp --tcp-flags RST RST -j DROP
+-A HOLO-OUT -s 10.9.1.240/28 -m limit --limit 100/second --limit-burst 100 -j ACCEPT
+-A HOLO-IN -d 10.9.1.0/25 -j ACCEPT
+-A HOLO-IN -d 10.9.1.128/26 -j ACCEPT
+-A HOLO-IN -d 10.9.1.192/27 -j ACCEPT
+-A HOLO-IN -d 10.9.1.224/28 -j ACCEPT
+COMMIT
+"""
+
+
+def test_rules_emit_offline_pins_the_committed_deploy_pair(tmp_path):
+    """The committed darknet and responder deploy files, emitted together."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    docs = [yaml.safe_load((configs / name).read_text())
+            for name in ("deploy-darknet.yaml", "deploy-responder.yaml")]
+    spec_path = tmp_path / "pair.yaml"
+    spec_path.write_text(yaml.safe_dump(docs))
+    text = run_cli("rules", "emit", "-f", str(spec_path)).stdout
+    assert text == DEPLOY_PAIR_RULES
+    assert sum(line.startswith("-A HOLO-") for line in text.splitlines()) == 11
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("a8056069f02e0d8f")
 
 
 def test_env_var_hub_address(controller):

@@ -1,3 +1,5 @@
+import copy
+import errno
 import itertools
 import json
 import os
@@ -476,6 +478,38 @@ class TestPersistence:
             assert set(c.principals) == want_principals
             c.close()
 
+    @pytest.mark.parametrize("torn", [0.0, 0.5], ids=["raises-before-writing", "writes-half-the-line"])
+    def test_failed_append_leaves_no_trace(self, tmp_path, torn):
+        """A log write that fails (ENOSPC) changes neither memory nor state.log."""
+        clock = FakeClock()
+        c = Controller(data_dir=tmp_path, clock=clock)
+        onboard(c, descriptor())
+        token = c.issue_token(ADMIN, "B1", 3600.0)
+        _, pub = overlay.generate_keypair()
+        desc_b1 = descriptor(sensor_id="B1", ranges=("10.9.2.0/24",))
+        log = (tmp_path / "state.log").read_bytes()
+        before = copy.deepcopy(logged_state(c))
+
+        real = c._log_fh
+        for attempt in (
+            lambda: c.issue_token(ADMIN, "C1", 3600.0),
+            lambda: c.onboard(token.token, pub, desc_b1),
+            lambda: c.set_desired(ADMIN, darknet_spec()),
+        ):
+            c._log_fh = FailingLog(real, torn)
+            with pytest.raises(OSError):
+                attempt()
+            c._log_fh = real
+            assert logged_state(c) == before
+            assert (tmp_path / "state.log").read_bytes() == log
+
+        c.onboard(token.token, pub, desc_b1)  # the next event goes through
+        assert "B1" in c.sensors and c.tokens[token.token].used
+        restarted = Controller(data_dir=tmp_path, clock=clock)
+        assert logged_state(restarted) == logged_state(c)
+        restarted.close()
+        c.close()
+
     def test_stale_snapshot_is_ignored(self, tmp_path):
         """A state.snapshot left by an earlier version, valid in its format but
         missing a sensor the log has, neither hides that sensor nor is touched."""
@@ -779,6 +813,21 @@ def test_peer_registry_picks_up_later_sensor():
     onboard(c, descriptor(sensor_id="B1", ranges=("10.9.2.0/24",)))
     assert set(c.peer_registry()) == {"A1", "B1"}
     assert set(first) == {"A1"}  # a holder of the old registry keeps a stable dict
+
+
+class FailingLog:
+    """A state.log double whose write puts the first `torn` share of the line
+    on disk and then raises ENOSPC."""
+
+    def __init__(self, fh, torn):
+        self.fh, self.torn = fh, torn
+
+    def write(self, data):
+        self.fh.write(data[: int(len(data) * self.torn)])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def truncate(self, size):
+        return self.fh.truncate(size)
 
 
 def logged_state(c):

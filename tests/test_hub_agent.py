@@ -230,7 +230,7 @@ def test_admin_unknown_op_and_bad_principal(hub):
 def test_merged_program_carves_responder_space_out_of_darknet():
     """A responder inside a darknet /24 must not fall under the drop rules."""
     from holo import toolbox
-    from holo.agent import build_sensor_program
+    from holo.assembly import assemble
     from holo.packets import TCP_ACK
 
     specs = [
@@ -238,7 +238,7 @@ def test_merged_program_carves_responder_space_out_of_darknet():
         cp.ModuleSpec("responder", "hp", {"ip_ranges": ["10.9.1.240/28"], "ports": ["1-1023"]},
                       target_ids=["A1"]),
     ]
-    program, limiters = build_sensor_program(specs)
+    program, limiters, _ = assemble([(s.module_kind, s.params) for s in specs])
     synack = PacketRecord(ts=0, src_ip=ip_to_int("10.9.1.241"), dst_ip=ip_to_int("203.0.113.5"), proto=PROTO_TCP,
                           src_port=80, dst_port=41000, tcp_flags=TCP_SYN | TCP_ACK)
     action = toolbox.evaluate(program, synack, toolbox.OUT)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from holo import toolbox
 from holo.net import AddressRange, PortRange, int_to_ip, ip_to_int
 from holo.packets import (
+    FLAG_NAMES,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
@@ -20,7 +21,6 @@ from holo.packets import (
 from holo.toolbox import (
     Accept,
     Drop,
-    DuplicatePriority,
     EmptyMatch,
     Match,
     ProgramHolder,
@@ -32,7 +32,6 @@ from holo.toolbox import (
     allow,
     emit_iptables,
     evaluate,
-    parse_iptables,
 )
 
 
@@ -44,26 +43,18 @@ def pkt(src="198.51.100.9", dst="10.9.0.5", proto=PROTO_TCP, sport=40000, dport=
 DARKNET = AddressRange.parse("10.9.0.0/24")
 
 
-def drop_darknet_out(priority=10):
-    return SteeringRule(priority, toolbox.OUT, Match(src_range=DARKNET), Drop())
+def drop_darknet_out():
+    return SteeringRule(toolbox.OUT, Match(src_range=DARKNET), Drop())
 
 
-def accept_all_in(priority=20):
-    return SteeringRule(priority, toolbox.IN, Match(dst_range=AddressRange.parse("0.0.0.0/0")), Accept())
+def accept_all_in():
+    return SteeringRule(toolbox.IN, Match(dst_range=AddressRange.parse("0.0.0.0/0")), Accept())
 
 
 class TestCompile:
-    def test_sorts_by_priority(self):
-        program = toolbox.compile([accept_all_in(20), drop_darknet_out(10)])
-        assert [r.priority for r in program.rules] == [10, 20]
-
-    def test_duplicate_priority(self):
-        with pytest.raises(DuplicatePriority):
-            toolbox.compile([drop_darknet_out(10), accept_all_in(10)])
-
     def test_empty_match(self):
         with pytest.raises(EmptyMatch):
-            toolbox.compile([SteeringRule(5, toolbox.IN, Match(), Accept())])
+            toolbox.compile([SteeringRule(toolbox.IN, Match(), Accept())])
 
 
 class TestEvaluate:
@@ -78,7 +69,7 @@ class TestEvaluate:
 
     def test_steer_bgp_backend(self):
         rule = SteeringRule(
-            5, toolbox.IN,
+            toolbox.IN,
             Match(proto=PROTO_TCP, dst_ports=(PortRange(179, 179),)),
             SteerToBackend("bgp-sim"),
         )
@@ -87,27 +78,29 @@ class TestEvaluate:
         assert action.kind == toolbox.ACT_STEER and action.arg == "bgp-sim"
 
     def test_first_match_wins_all_orderings(self):
-        # brute-force: every insertion order of a 3-rule program gives the
-        # priority-ordered first match
+        # brute-force: in every insertion order of a 3-rule program the
+        # first matching rule in list order decides
         rules = [
-            SteeringRule(1, toolbox.IN, Match(dst_range=DARKNET, proto=PROTO_TCP), Drop()),
-            SteeringRule(2, toolbox.IN, Match(dst_range=DARKNET), SteerToBackend("x")),
-            SteeringRule(3, toolbox.IN, Match(proto=PROTO_TCP), Accept()),
+            SteeringRule(toolbox.IN, Match(dst_range=DARKNET, proto=PROTO_TCP), Drop()),
+            SteeringRule(toolbox.IN, Match(dst_range=DARKNET), SteerToBackend("x")),
+            SteeringRule(toolbox.IN, Match(proto=PROTO_TCP), Accept()),
         ]
-        probe = pkt()
-        expected = evaluate(toolbox.compile(rules), probe, toolbox.IN)
-        assert expected.kind == toolbox.ACT_DROP
+        probes = [pkt(), pkt(proto=PROTO_UDP), pkt(dst="198.51.100.200")]
+        assert evaluate(toolbox.compile(rules), probes[0], toolbox.IN).kind == toolbox.ACT_DROP
         for perm in itertools.permutations(rules):
-            assert evaluate(toolbox.compile(list(perm)), probe, toolbox.IN) == expected
+            program = toolbox.compile(list(perm))
+            for probe in probes:
+                want = next(r.action for r in perm if rule_matches(r, probe))
+                assert evaluate(program, probe, toolbox.IN) == want
 
     def test_flag_mask_requires_all_bits(self):
-        rule = SteeringRule(1, toolbox.OUT, Match(src_range=DARKNET, tcp_flag_mask=TCP_RST), Drop())
+        rule = SteeringRule(toolbox.OUT, Match(src_range=DARKNET, tcp_flag_mask=TCP_RST), Drop())
         program = toolbox.compile([rule])
         assert evaluate(program, pkt(src="10.9.0.1", flags=TCP_RST | TCP_ACK), toolbox.OUT).kind == toolbox.ACT_DROP
         assert evaluate(program, pkt(src="10.9.0.1", flags=TCP_SYN), toolbox.OUT).kind == toolbox.ACT_ACCEPT
 
     def test_port_match_skips_portless_protocols(self):
-        rule = SteeringRule(1, toolbox.IN, Match(dst_ports=(PortRange(22, 22),)), Drop())
+        rule = SteeringRule(toolbox.IN, Match(dst_ports=(PortRange(22, 22),)), Drop())
         program = toolbox.compile([rule])
         icmp = pkt(proto=PROTO_ICMP, sport=0, dport=0, flags=0)
         assert evaluate(program, icmp, toolbox.IN).kind == toolbox.ACT_ACCEPT
@@ -116,7 +109,8 @@ class TestEvaluate:
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_order_stability_property(rnd):
-    """Permuting the input rule list never changes evaluate's output."""
+    """Interleaving the two directions' rules differently never changes
+    evaluate's output: only the order within a direction counts."""
     n = rnd.randrange(1, 6)
     rules = []
     for i in range(n):
@@ -128,16 +122,17 @@ def test_order_stability_property(rnd):
         if match.is_empty():
             match = Match(proto=PROTO_TCP)
         action = rnd.choice([Drop(), Accept(), SteerToBackend("b")])
-        rules.append(SteeringRule(i * 10, rnd.choice([toolbox.IN, toolbox.OUT]), match, action))
+        rules.append(SteeringRule(rnd.choice([toolbox.IN, toolbox.OUT]), match, action))
     probes = [
         pkt(src=f"10.{rnd.randrange(4)}.1.2", dst=f"10.{rnd.randrange(4)}.3.4",
             proto=rnd.choice([PROTO_TCP, PROTO_UDP]))
         for _ in range(10)
     ]
     baseline = toolbox.compile(rules)
-    shuffled = rules[:]
-    rnd.shuffle(shuffled)
-    program = toolbox.compile(shuffled)
+    per_direction = {d: iter([r for r in rules if r.direction == d]) for d in (toolbox.IN, toolbox.OUT)}
+    slots = [r.direction for r in rules]
+    rnd.shuffle(slots)
+    program = toolbox.compile([next(per_direction[d]) for d in slots])
     for probe in probes:
         for direction in (toolbox.IN, toolbox.OUT):
             assert evaluate(program, probe, direction) == evaluate(baseline, probe, direction)
@@ -204,8 +199,7 @@ actions = st.sampled_from([Drop(), Accept(), SteerToBackend("b1"), SteerToBacken
 @st.composite
 def programs(draw):
     specs = draw(st.lists(st.tuples(st.sampled_from([toolbox.IN, toolbox.OUT]), matches, actions), max_size=8))
-    priorities = draw(st.permutations(range(len(specs))))
-    return [SteeringRule(10 * p, d, m, a) for p, (d, m, a) in zip(priorities, specs)]
+    return [SteeringRule(d, m, a) for d, m, a in specs]
 
 
 def probe_packets(rules, rnd, n=30):
@@ -238,6 +232,118 @@ def test_compiled_evaluate_matches_reference_loop(rules, rnd):
     for probe in probe_packets(rules, rnd):
         for direction in (toolbox.IN, toolbox.OUT):
             assert evaluate(program, probe, direction) == reference_evaluate(program, probe, direction)
+
+
+# --- the round-trip oracle of emit_iptables ----------------------------------
+
+_WORD_PROTO = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
+
+
+def _names_to_flags(text: str) -> int:
+    lookup = {name: bit for bit, name in FLAG_NAMES}
+    mask = 0
+    if text == "NONE":
+        return 0
+    for name in text.split(","):
+        mask |= lookup[name]
+    return mask
+
+
+def _parse_ports(text: str) -> tuple[PortRange, ...]:
+    out = []
+    for piece in text.split(","):
+        lo, _, hi = piece.partition(":")
+        out.append(PortRange(int(lo), int(hi) if hi else int(lo)))
+    return tuple(out)
+
+
+def parse_iptables(text: str, chain_prefix: str = "HOLO"):
+    """Parse emitted text back into (program, limiters, backend_ports).
+
+    Inverse of emit_iptables on the representable subset: re-emitting the
+    parsed program with the returned mappings reproduces the text.
+    """
+    chain_in = f"{chain_prefix}-IN"
+    chain_out = f"{chain_prefix}-OUT"
+    rules = []
+    limiters: dict = {}
+    backend_ports: dict = {}
+    pending_comment_backend = None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("# holo:steer backend="):
+            pending_comment_backend = line.split("backend=", 1)[1].split(" ")[0]
+            continue
+        if not line.startswith("-A "):
+            continue
+        tokens = line.split()
+        chain = tokens[1]
+        if chain not in (chain_in, chain_out):
+            continue
+        direction = toolbox.IN if chain == chain_in else toolbox.OUT
+        match_kwargs: dict = {}
+        action = None
+        i = 2
+        while i < len(tokens):
+            tok = tokens[i]
+            if tok == "-s":
+                match_kwargs["src_range"] = AddressRange.parse(tokens[i + 1])
+                i += 2
+            elif tok == "-d":
+                match_kwargs["dst_range"] = AddressRange.parse(tokens[i + 1])
+                i += 2
+            elif tok == "-p":
+                word = tokens[i + 1]
+                match_kwargs["proto"] = _WORD_PROTO.get(word, None)
+                if match_kwargs["proto"] is None:
+                    match_kwargs["proto"] = int(word)
+                i += 2
+            elif tok == "-m" and tokens[i + 1] in ("multiport", "limit"):
+                i += 2
+            elif tok in ("--sport", "--sports"):
+                match_kwargs["src_ports"] = _parse_ports(tokens[i + 1])
+                i += 2
+            elif tok in ("--dport", "--dports"):
+                match_kwargs["dst_ports"] = _parse_ports(tokens[i + 1])
+                i += 2
+            elif tok == "--tcp-flags":
+                match_kwargs["tcp_flag_mask"] = _names_to_flags(tokens[i + 1])
+                i += 3
+            elif tok == "--limit":
+                rate = int(tokens[i + 1].split("/")[0])
+                burst = 100
+                if "--limit-burst" in tokens:
+                    burst = int(tokens[tokens.index("--limit-burst") + 1])
+                limiter_id = f"limit-{rate}-{burst}"
+                limiters[limiter_id] = (rate, burst)
+                action = RateLimit(limiter_id)
+                i += 2
+            elif tok == "--limit-burst":
+                i += 2
+            elif tok == "-j":
+                target = tokens[i + 1]
+                if target == "DROP":
+                    action = Drop()
+                elif target == "ACCEPT":
+                    action = action or Accept()
+                elif target == "REDIRECT":
+                    if "--to-ports" in tokens:
+                        port = int(tokens[tokens.index("--to-ports") + 1])
+                        backend = f"backend-{port}"
+                        backend_ports[backend] = port
+                        action = SteerToBackend(backend)
+                    else:
+                        action = SteerToBackend(pending_comment_backend or "l4")
+                    pending_comment_backend = None
+                i += 2
+            elif tok == "--to-ports":
+                i += 2
+            else:
+                raise toolbox.ToolboxError(f"unparsed token {tok!r} in {line!r}")
+        if action is None:
+            raise toolbox.ToolboxError(f"no action in {line!r}")
+        rules.append(SteeringRule(direction, Match(**match_kwargs), action))
+    return toolbox.compile(rules), limiters, backend_ports
 
 
 def _representable(rule):
@@ -332,8 +438,8 @@ class TestProgramHolder:
         assert holder.current().generation == 2
 
     def test_atomic_swap_under_interleaving(self):
-        rule_a = drop_darknet_out(10)
-        rule_b = SteeringRule(11, toolbox.OUT, Match(src_range=DARKNET, proto=PROTO_TCP), Drop())
+        rule_a = drop_darknet_out()
+        rule_b = SteeringRule(toolbox.OUT, Match(src_range=DARKNET, proto=PROTO_TCP), Drop())
         holder = ProgramHolder(toolbox.compile([rule_a], generation=1))
         seen = []
         stop = threading.Event()
@@ -378,33 +484,36 @@ class TestEmit:
         ]
 
     def test_ratelimit_form(self):
-        rule = SteeringRule(10, toolbox.OUT, Match(src_range=DARKNET), RateLimit("egress"))
+        rule = SteeringRule(toolbox.OUT, Match(src_range=DARKNET), RateLimit("egress"))
         text = emit_iptables(toolbox.compile([rule]), limiters={"egress": (100, 100)})
         assert "-m limit --limit 100/second --limit-burst 100 -j ACCEPT" in text
 
     def test_deterministic_output(self):
         rules = [drop_darknet_out(), accept_all_in()]
         a = emit_iptables(toolbox.compile(rules))
-        b = emit_iptables(toolbox.compile(list(reversed(rules))))
+        b = emit_iptables(toolbox.compile(list(rules)))
         assert a == b
+        # the rule lines follow the list order
+        flipped = emit_iptables(toolbox.compile(list(reversed(rules)))).splitlines()
+        assert flipped[5:7] == a.splitlines()[6:4:-1]
 
     def test_steer_without_port_mapping_comments(self):
-        rule = SteeringRule(10, toolbox.IN, Match(dst_range=DARKNET, proto=PROTO_TCP), SteerToBackend("bgp-sim"))
+        rule = SteeringRule(toolbox.IN, Match(dst_range=DARKNET, proto=PROTO_TCP), SteerToBackend("bgp-sim"))
         text = emit_iptables(toolbox.compile([rule]))
         assert "# holo:steer backend=bgp-sim (no port mapping)" in text
         assert "-j REDIRECT" in text
 
     def test_emit_parse_round_trip(self):
         rules = [
-            drop_darknet_out(10),
-            SteeringRule(20, toolbox.IN,
+            drop_darknet_out(),
+            SteeringRule(toolbox.IN,
                          Match(dst_range=DARKNET, proto=PROTO_TCP, dst_ports=(PortRange(1, 1023),)),
                          SteerToBackend("l4")),
-            SteeringRule(30, toolbox.OUT,
+            SteeringRule(toolbox.OUT,
                          Match(src_range=DARKNET, proto=PROTO_TCP, tcp_flag_mask=TCP_RST),
                          Drop()),
-            SteeringRule(40, toolbox.OUT, Match(src_range=DARKNET), RateLimit("egress")),
-            SteeringRule(50, toolbox.IN,
+            SteeringRule(toolbox.OUT, Match(src_range=DARKNET), RateLimit("egress")),
+            SteeringRule(toolbox.IN,
                          Match(proto=PROTO_UDP, dst_ports=(PortRange(53, 53), PortRange(123, 123))),
                          Accept()),
         ]
@@ -417,7 +526,7 @@ class TestEmit:
 
     def test_parse_roundtrip_tokenizer_recovers_ratelimit(self):
         # the emitted limit clause parses back to the same numbers
-        rule = SteeringRule(10, toolbox.OUT, Match(src_range=DARKNET), RateLimit("egress"))
+        rule = SteeringRule(toolbox.OUT, Match(src_range=DARKNET), RateLimit("egress"))
         text = emit_iptables(toolbox.compile([rule]), limiters={"egress": (100, 100)})
         program, limiters, _ = parse_iptables(text)
         assert len(program.rules) == 1
