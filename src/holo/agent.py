@@ -12,17 +12,15 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 from . import collector as collector_mod
 from . import controlplane as cp
-from . import darknet as darknet_mod
 from . import overlay
-from . import responder as responder_mod
 from . import toolbox
-from .assembly import assemble
+from .assembly import Pipeline, assemble
 from .hub import admin_request, pack_control, read_frame, unpack_control
 
 log = logging.getLogger("holo.agent")
@@ -33,7 +31,6 @@ class ModuleInstance:
     instance_id: str
     spec: cp.ModuleSpec
     status: str = cp.ST_RUNNING
-    runtime: object = None
 
     def status_doc(self, sensor_id: str) -> dict:
         return cp.InstanceStatus(
@@ -47,7 +44,9 @@ class ModuleInstance:
 
 
 class AgentCore:
-    """Module lifecycle and reported state for one sensor."""
+    """Module lifecycle and reported state for one sensor. The running
+    instances make up one Pipeline; while a collector runs, its writer is
+    one HourlyWriter."""
 
     def __init__(
         self,
@@ -59,38 +58,9 @@ class AgentCore:
         self.sensor_id = sensor_id
         self.data_dir = Path(data_dir) if data_dir else None
         self.clock = clock
-        self.descriptor = descriptor
         self.instances: dict[str, ModuleInstance] = {}
-        self.generation = 0
-        self.program_holder: Optional[toolbox.ProgramHolder] = None
-        self.limiter = toolbox.TokenBucket(rate=100.0, burst=100.0)
-
-    # -- runtimes -------------------------------------------------------
-
-    def _build_runtime(self, spec: cp.ModuleSpec):
-        kind = spec.module_kind
-        if kind == cp.KIND_DARKNET:
-            config = darknet_mod.config_from_doc(spec.params)
-            owned = self.descriptor.address_ranges if self.descriptor else None
-            return darknet_mod.attach(config, descriptor_ranges=owned)
-        if kind == cp.KIND_RESPONDER:
-            return responder_mod.Responder(responder_mod.config_from_doc(spec.params))
-        if kind == cp.KIND_COLLECTOR:
-            directory = (self.data_dir / "traces") if self.data_dir else Path("traces")
-            return collector_mod.HourlyWriter(
-                directory,
-                self.sensor_id,
-                manifest=self.module_manifest,
-            )
-        if kind == cp.KIND_TOOLBOX:
-            self.limiter = toolbox.TokenBucket(
-                rate=float(spec.params.get("egress_rate", 100.0)),
-                burst=float(spec.params.get("egress_burst", 100.0)),
-            )
-            return self.limiter
-        if kind == cp.KIND_WORKLOAD:
-            return {"behavior": spec.params.get("behavior")}
-        raise cp.SchemaError(f"unknown module kind {kind!r}")
+        owned = descriptor.address_ranges if descriptor else None
+        self.pipeline = Pipeline(assemble([], generation=0), descriptor_ranges=owned)
 
     def module_manifest(self) -> list:
         return sorted(
@@ -99,14 +69,27 @@ class AgentCore:
             if inst.status == cp.ST_RUNNING
         )
 
-    def _refresh_program(self) -> None:
+    def _reconfigure(self, started: Optional[ModuleInstance] = None) -> None:
+        """Rebuild the pipeline from the running instances' specs. If that
+        fails, a just started instance is marked crashed and left out."""
         specs = [i.spec for i in self.instances.values() if i.status == cp.ST_RUNNING]
-        self.generation += 1
-        built = assemble([(s.module_kind, s.params) for s in specs], generation=self.generation)
-        if self.program_holder is None:
-            self.program_holder = toolbox.ProgramHolder(built.program)
-        else:
-            self.program_holder.swap(built.program)
+        pipeline = self.pipeline
+        try:
+            built = assemble([(s.module_kind, s.params) for s in specs], generation=pipeline.program.generation + 1)
+            pipeline.reconfigure(built)
+            collecting = any(s.module_kind == cp.KIND_COLLECTOR for s in specs)
+            if collecting and pipeline.writer is None:
+                directory = (self.data_dir / "traces") if self.data_dir else Path("traces")
+                pipeline.writer = collector_mod.HourlyWriter(directory, self.sensor_id, manifest=self.module_manifest)
+        except Exception as exc:  # report, let the controller decide
+            if started is None:
+                raise
+            log.warning("instance %s failed to start: %s", started.instance_id, exc)
+            started.status = cp.ST_CRASHED
+            return self._reconfigure()
+        if not collecting and pipeline.writer is not None:
+            pipeline.writer.close()
+            pipeline.writer = None
         if self.data_dir is not None:
             toolbox.write_rules(self.data_dir, self.sensor_id, built.program, limiters=built.limiters)
 
@@ -118,27 +101,17 @@ class AgentCore:
             action = cp.Action(action["kind"], action["sensor_id"], action["instance_id"], spec)
         if action.sensor_id != self.sensor_id:
             return
+        started = None
         if action.kind == "stop":
-            inst = self.instances.pop(action.instance_id, None)
-            if inst is not None and hasattr(inst.runtime, "close"):
-                inst.runtime.close()
+            self.instances.pop(action.instance_id, None)
         elif action.kind in ("start", "restart"):
-            try:
-                runtime = self._build_runtime(action.spec)
-                status = cp.ST_RUNNING
-            except Exception as exc:  # report, let the controller decide
-                log.warning("instance %s failed to start: %s", action.instance_id, exc)
-                runtime, status = None, cp.ST_CRASHED
-            self.instances[action.instance_id] = ModuleInstance(
-                instance_id=action.instance_id, spec=action.spec, status=status, runtime=runtime
-            )
-        self._refresh_program()
+            started = self.instances[action.instance_id] = ModuleInstance(action.instance_id, action.spec)
+        self._reconfigure(started)
 
     def kill_instance(self, instance_id: str) -> None:
         """Simulate a module crash (testing and fault-injection hook)."""
-        inst = self.instances[instance_id]
-        inst.status = cp.ST_CRASHED
-        inst.runtime = None
+        self.instances[instance_id].status = cp.ST_CRASHED
+        self._reconfigure()
 
     def heartbeat_fragment(self) -> list[dict]:
         return [

@@ -82,7 +82,7 @@ def trace_packets(paths) -> Iterator[tuple]:
     its payload at its wire length.
     """
     for path in paths:
-        for ts, raw, link_type, wire_len in pcapio.read_pcap(path, orig_len=True):
+        for ts, raw, link_type, wire_len in pcapio.read_pcap(path):
             try:
                 src, dst, proto, sport, dport, flags, start, end = parse_headers(raw, link_type, wire_len)
             except DecodeError:

@@ -237,8 +237,13 @@ class HourlyWriter:
         with open(self._flow_log[1], "ab") as fh:
             fh.write(analysis.encode_flow_block(self._flows.items(), meta.content_hash))
 
-    def append(self, pkt: PacketRecord, raw: Optional[bytes] = None) -> None:
-        """Write one packet; rotation is driven purely by pkt.ts."""
+    def append(self, pkt: PacketRecord, raw: Optional[bytes] = None, wire_len: Optional[int] = None) -> None:
+        """Write one packet; rotation is driven purely by pkt.ts.
+
+        wire_len is raw's length on the wire when it was captured short: the
+        pcap record keeps it as its original length, and the flow table
+        counts the payload at that length.
+        """
         if self._paused and (self._disk_full or pkt.ts // HOUR_US == self._hour):
             self.dropped += 1
             return
@@ -262,12 +267,12 @@ class HourlyWriter:
                 return
         ts = pkt.ts
         data = raw if raw is not None else encode_record(pkt)
-        frame = packet_header(ts, len(data)) + data
+        frame = packet_header(ts, len(data), wire_len) + data
         if raw is None and self.link_type == LINK_RAW_IPV4:
             fields = encoded_headers(pkt)
         else:
             try:
-                fields = parse_headers(data, self.link_type)
+                fields = parse_headers(data, self.link_type, wire_len)
             except DecodeError:
                 fields = None  # written, but analysis skips the frame too
         size = len(frame)
@@ -452,7 +457,7 @@ def _trace_chunks(path, truncate: bool = False):
             return
         buf = bytearray(fh.read(GLOBAL_HEADER.size))
         fh.seek(0)
-        for ts, raw, _, orig in read_pcap(fh, orig_len=True):
+        for ts, raw, _, orig in read_pcap(fh):
             snapped = raw[:REDACT_SNAP]
             record = packet_header(ts, len(snapped), orig) + snapped
             if len(buf) + len(record) > CHUNK_SIZE:

@@ -152,30 +152,34 @@ class CaptureHandle:
             return False
         return True
 
-    def offer(self, record: PacketRecord, raw: Optional[bytes] = None) -> bool:
+    def offer(self, record: PacketRecord, raw: Optional[bytes] = None, wire_len: Optional[int] = None) -> bool:
+        """Capture record if it is ours: the sink gets (record, raw, wire_len)."""
         self.stats.seen += 1
         if not self.accepts(record):
             return False
         record.capture_origin = ORIGIN_DARKNET
         self.stats.captured += 1
         if self.sink is not None:
-            self.sink(record, raw)
+            self.sink(record, raw, wire_len)
         return True
 
-    def offer_raw(self, ts: int, raw: bytes, link_type: int) -> Optional[PacketRecord]:
+    def offer_raw(self, ts: int, raw: bytes, link_type: int, wire_len: Optional[int] = None) -> Optional[PacketRecord]:
+        """Decode and offer one frame; wire_len is its length on the wire
+        when it was captured short."""
         try:
-            record = decode(raw, link_type, ts=ts, capture_origin=ORIGIN_DARKNET)
+            record = decode(raw, link_type, ts=ts, capture_origin=ORIGIN_DARKNET, wire_len=wire_len)
         except DecodeError:
             self.stats.seen += 1
             self.stats.decode_errors += 1
             return None
-        return record if self.offer(record, raw) else None
+        return record if self.offer(record, raw, wire_len) else None
 
     def drain(self, source: Iterable) -> int:
-        """Consume a (ts, raw, link_type) source; returns captured count."""
+        """Consume a read_pcap-shaped (ts, raw, link_type, wire_len) source;
+        returns captured count."""
         n = 0
-        for ts, raw, link_type in source:
-            if self.offer_raw(ts, raw, link_type) is not None:
+        for ts, raw, link_type, wire_len in source:
+            if self.offer_raw(ts, raw, link_type, wire_len) is not None:
                 n += 1
         return n
 

@@ -241,13 +241,20 @@ def parse_headers(
     return src, dst, proto, 0, 0, 0, start, end
 
 
-def decode(raw_bytes: bytes, link_type: int, ts: int = 0, capture_origin: str = ORIGIN_DARKNET) -> PacketRecord:
+def decode(
+    raw_bytes: bytes,
+    link_type: int,
+    ts: int = 0,
+    capture_origin: str = ORIGIN_DARKNET,
+    wire_len: Optional[int] = None,
+) -> PacketRecord:
     """Parse one captured frame into a PacketRecord.
 
     Truncated or garbage input raises DecodeError; a record is only ever
-    returned fully populated.
+    returned fully populated. wire_len is as for parse_headers: a frame
+    captured short keeps its payload length on the wire.
     """
-    src, dst, proto, src_port, dst_port, tcp_flags, start, end = parse_headers(raw_bytes, link_type)
+    src, dst, proto, src_port, dst_port, tcp_flags, start, end = parse_headers(raw_bytes, link_type, wire_len)
     return PacketRecord(
         ts=ts,
         src_ip=src,

@@ -20,14 +20,14 @@ def packet_header(ts_us: int, length: int, orig_len: int | None = None) -> bytes
     return PACKET_HEADER.pack(ts_us // 1_000_000, ts_us % 1_000_000, length, orig_len or length)
 
 
-def read_pcap(source, orig_len: bool = False):
-    """Yield (ts_us, raw_bytes, link_type) for every packet of a pcap.
+def read_pcap(source):
+    """Yield (ts_us, raw_bytes, link_type, orig_len) for every packet of a pcap.
 
     source is a path or a binary file, read one record at a time. A path's
     file is opened on the first record asked for and closed when the
-    generator ends or is closed; a binary file is left open. With
-    orig_len, each tuple also carries the record's original (wire) length,
-    which exceeds len(raw) for a frame captured short.
+    generator ends or is closed; a binary file is left open. orig_len is
+    the record's original (wire) length, which exceeds len(raw) for a
+    frame captured short.
     """
     if hasattr(source, "read"):
         opened, name = nullcontext(source), getattr(source, "name", "pcap stream")
@@ -58,10 +58,7 @@ def read_pcap(source, orig_len: bool = False):
             if len(raw) != incl:
                 raise ValueError(f"{name}: truncated packet at offset {pos}")
             pos += incl
-            if orig_len:
-                yield sec * 1_000_000 + usec, raw, link_type, orig
-            else:
-                yield sec * 1_000_000 + usec, raw, link_type
+            yield sec * 1_000_000 + usec, raw, link_type, orig
 
 
 def write_pcap(path, packets, link_type: int = LINK_RAW_IPV4) -> int:

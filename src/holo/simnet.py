@@ -20,11 +20,9 @@ from . import HoloError
 from . import collector as collector_mod
 from . import darknet as darknet_mod
 from . import responder as responder_mod
-from . import toolbox
-from .assembly import KIND_DARKNET, KIND_RESPONDER, KIND_TOOLBOX, assemble
+from .assembly import CAPTURED, KIND_DARKNET, KIND_RESPONDER, KIND_TOOLBOX, PASSED, Pipeline, assemble
 from .net import AddressRange, any_contains, int_to_ip, ip_to_int
 from .packets import (
-    ORIGIN_RESPONDER,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
@@ -160,73 +158,24 @@ class GroundTruth(NamedTuple):
     expect_capture: bool
 
 
-@dataclass
-class PathCounters:
-    delivered: int = 0
-    captured: int = 0
-    dropped_in: int = 0
-    arp_pending: int = 0
-    steered: int = 0
-    outbound_emitted: int = 0
-    outbound_suppressed: int = 0
-    outbound_ratelimited: int = 0
-    darknet_src_leaks: int = 0
-    rst_emitted: int = 0
-
-
-class SensorPath:
-    """The real packet path of one sensor, driven by the simulator."""
+class SensorPath(Pipeline):
+    """One simulated sensor: its pipeline, plus the host stack and the
+    border router around it."""
 
     def __init__(self, sim_sensor: SimSensor, writer=None):
-        self.sensor = sim_sensor
-        self.writer = writer
-        self.counters = PathCounters()
-        self.responder_events: list[dict] = []
-
         modules = [
             (KIND_DARKNET, {"ranges": [str(r) for r in sim_sensor.ranges], "mode": sim_sensor.mode,
                             "sensor_ip": sim_sensor.sensor_ip}),
             (KIND_TOOLBOX, {"egress_rate": sim_sensor.egress_rate, "egress_burst": sim_sensor.egress_burst}),
         ]
-        self.responder = None
         if sim_sensor.responder is not None:
             modules.append((KIND_RESPONDER, sim_sensor.responder))
-            self.responder = responder_mod.Responder(responder_mod.config_from_doc(sim_sensor.responder))
-        built = assemble(modules)
-        self.program = built.program
+        super().__init__(assemble(modules), writer=writer, descriptor_ranges=sim_sensor.ranges)
+        self.sensor = sim_sensor
+        (self.handle,) = self.handles
         # the darknet keeps to passive space: the responder's ranges are carved out
-        (self.darknet_config,) = built.darknets
-        rate, burst = built.limiters[responder_mod.EGRESS_LIMITER]
-        self.limiter = toolbox.TokenBucket(rate=rate, burst=burst)
-        self.handle = darknet_mod.attach(
-            self.darknet_config,
-            descriptor_ranges=sim_sensor.ranges,
-            sink=self._capture_sink,
-        )
-
-    def _capture_sink(self, record: PacketRecord, raw) -> None:
-        self.counters.captured += 1
-        if self.writer is not None:
-            self.writer.append(record, raw)
-
-    def _send(self, record: PacketRecord, now: float) -> bool:
-        """Outbound leg: steering program, then the egress limiter."""
-        action = toolbox.evaluate(self.program, record, toolbox.OUT)
-        if action.kind == toolbox.ACT_DROP:
-            self.counters.outbound_suppressed += 1
-            return False
-        if action.kind == toolbox.ACT_RATELIMIT:
-            if toolbox.allow(self.limiter, now, 1) != 1:
-                self.counters.outbound_ratelimited += 1
-                return False
-        self.counters.outbound_emitted += 1
-        if any_contains(self.darknet_config.ranges, record.src_ip):
-            self.counters.darknet_src_leaks += 1
-        if record.proto == PROTO_TCP and record.tcp_flags & TCP_RST:
-            self.counters.rst_emitted += 1
-        if self.writer is not None:
-            self.writer.append(record)
-        return True
+        self.darknet_config = self.handle.config
+        self.responder = self.responders[0] if self.responders else None
 
     def _reflex(self, record: PacketRecord) -> Optional[PacketRecord]:
         """What a host stack would answer on a passively monitored address."""
@@ -253,58 +202,27 @@ class SensorPath:
 
     def inject(self, seg: responder_mod.TcpSegment | PacketRecord) -> list[responder_mod.TcpSegment]:
         """Run one inbound packet through the path; returns responder output."""
+        replies: list[responder_mod.TcpSegment] = []
+        verdict = self.inbound(seg, replies)
         record = seg.record if isinstance(seg, responder_mod.TcpSegment) else seg
-        now = record.ts / 1e6
-        self.counters.delivered += 1
-        responses: list[responder_mod.TcpSegment] = []
-
-        action = toolbox.evaluate(self.program, record, toolbox.IN)
-        if action.kind == toolbox.ACT_DROP:
-            self.counters.dropped_in += 1
-            return responses
-
-        if action.kind == toolbox.ACT_STEER and self.responder is not None:
-            self.counters.steered += 1
-            record.capture_origin = ORIGIN_RESPONDER
-            if self.writer is not None:
-                self.writer.append(record)
-            if isinstance(seg, responder_mod.TcpSegment):
-                outbound, events = self.responder.on_segment(seg, now)
-                self.responder_events.extend(events)
-                for out_seg in outbound:
-                    if self._send(out_seg.record, now):
-                        responses.append(out_seg)
-            return responses
-
-        # darknet leg
-        if self.sensor.mode == darknet_mod.MODE_ARP and not self.handle.accepts(record):
+        if verdict == PASSED and self.sensor.mode == darknet_mod.MODE_ARP:
             if any_contains(self.darknet_config.ranges, record.dst_ip):
                 # border router ARPs for the unknown address; the packet
                 # itself is lost until the claim lands
                 query = darknet_mod.ArpQuery(record.ts, self.sensor.router_ip, record.dst_ip)
-                darknet_mod.arp_respond(query, self.darknet_config, self.handle.arp, now)
+                darknet_mod.arp_respond(query, self.darknet_config, self.handle.arp, record.ts / 1e6)
                 self.counters.arp_pending += 1
-            return responses
-        if self.handle.offer(record):
+        elif verdict == CAPTURED or (
+            verdict == PASSED
+            and self.responder is not None
+            and any_contains(self.responder.cfg.ip_ranges, record.dst_ip)
+        ):
+            # the host answers a captured packet, and the kernel one to a
+            # responder port not exposed, which the RST guard must silence
             reflex = self._reflex(record)
             if reflex is not None:
-                self._send(reflex, now)
-        elif self.responder is not None and any_contains(self.responder.cfg.ip_ranges, record.dst_ip):
-            # responder space, port not exposed: the kernel would answer;
-            # the RST guard has to keep that silent
-            reflex = self._reflex(record)
-            if reflex is not None:
-                self._send(reflex, now)
-        return responses
-
-    def tick(self, now: float) -> None:
-        if self.responder is not None:
-            self.responder_events.extend(self.responder.expire(now))
-
-    def finish(self, now: float) -> None:
-        self.tick(now + 10 * 3600)
-        if self.writer is not None:
-            self.writer.seal()
+                self.outbound(reflex, record.ts / 1e6)
+        return replies
 
 
 @dataclass

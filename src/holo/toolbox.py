@@ -7,7 +7,6 @@ text in custom chains so native chains are never touched.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -164,30 +163,6 @@ def evaluate(program: RuleProgram, pkt: PacketRecord, direction: str) -> Action:
     return program.default_action
 
 
-class ProgramHolder:
-    """Atomic publication point for compiled programs.
-
-    Consumers observe either generation g or g+1, never a mixture: the
-    whole immutable program is swapped under a lock.
-    """
-
-    def __init__(self, program: RuleProgram):
-        self._program = program
-        self._lock = threading.Lock()
-
-    def current(self) -> RuleProgram:
-        return self._program
-
-    def swap(self, program: RuleProgram) -> None:
-        with self._lock:
-            if program.generation <= self._program.generation:
-                raise ToolboxError(
-                    f"generation must increase ({program.generation} <= "
-                    f"{self._program.generation})"
-                )
-            self._program = program
-
-
 @dataclass
 class TokenBucket:
     """Token-bucket limiter; a unit is whatever the caller counts (packets, bytes)."""
@@ -264,15 +239,20 @@ def emit_iptables(
 ) -> str:
     """Render the program as an iptables-save fragment.
 
-    Deterministic: identical programs produce byte-identical text. Rules
-    that cannot be represented (steer targets with no port mapping) emit
-    a comment plus a REDIRECT placeholder instead of failing the whole
-    program.
+    Deterministic: identical programs produce byte-identical text. REDIRECT
+    is a target of the nat table only, so the steers go to a nat chain
+    hooked from PREROUTING, which runs before the filter table. A steer
+    must therefore be inbound and come before every other inbound rule,
+    as `assemble` orders them; any other steer raises UnrepresentableRule.
+    Steer targets with no port mapping emit a comment plus a REDIRECT
+    placeholder instead of failing the whole program.
     """
     limiters = limiters or {}
     backend_ports = backend_ports or {}
+    chain_pre = f"{chain_prefix}-PRE"
     chain_in = f"{chain_prefix}-IN"
     chain_out = f"{chain_prefix}-OUT"
+    nat = []
     lines = [
         "*filter",
         f":{chain_in} - [0:0]",
@@ -280,10 +260,24 @@ def emit_iptables(
         f"-A INPUT -j {chain_in}",
         f"-A OUTPUT -j {chain_out}",
     ]
+    steers_lead = True  # no inbound rule but a steer seen yet
     for rule in program.rules:
+        act = rule.action
+        if act.kind == ACT_STEER:
+            if rule.direction != IN or not steers_lead:
+                raise UnrepresentableRule("a steer must be inbound and precede every other inbound rule")
+            port = backend_ports.get(act.arg)
+            if port is None:
+                nat.append(f"# holo:steer backend={act.arg} (no port mapping)")
+            parts = [f"-A {chain_pre}"] + _render_match(rule.match) + ["-j", "REDIRECT"]
+            if port is not None:
+                parts += ["--to-ports", str(port)]
+            nat.append(" ".join(parts))
+            continue
+        if rule.direction == IN:
+            steers_lead = False
         chain = chain_in if rule.direction == IN else chain_out
         parts = [f"-A {chain}"] + _render_match(rule.match)
-        act = rule.action
         if act.kind == ACT_DROP:
             parts += ["-j", "DROP"]
         elif act.kind == ACT_ACCEPT:
@@ -300,17 +294,12 @@ def emit_iptables(
                 "-j",
                 "ACCEPT",
             ]
-        elif act.kind == ACT_STEER:
-            port = backend_ports.get(act.arg)
-            if port is None:
-                lines.append(f"# holo:steer backend={act.arg} (no port mapping)")
-                parts += ["-j", "REDIRECT"]
-            else:
-                parts += ["-j", "REDIRECT", "--to-ports", str(port)]
         else:
             raise UnrepresentableRule(f"unknown action {act.kind!r}")
         lines.append(" ".join(parts))
     lines.append("COMMIT")
+    if nat:
+        lines = ["*nat", f":{chain_pre} - [0:0]", f"-A PREROUTING -j {chain_pre}", *nat, "COMMIT", *lines]
     return "\n".join(lines) + "\n"
 
 

@@ -489,7 +489,7 @@ def test_streaming_flows_match_record_oracle(files, start):
 
         records, skipped = [], set()
         for path in paths:
-            for frame_ts, raw, link_type in read_pcap(path):
+            for frame_ts, raw, link_type, _ in read_pcap(path):
                 try:
                     records.append(decode(raw, link_type, ts=frame_ts))
                 except DecodeError:
@@ -643,7 +643,7 @@ def test_redacted_lake_analyzes_like_the_unredacted_one(tmp_path, link_type):
     short = [
         orig > len(raw)
         for pcap_path in redacted.root.rglob("*.pcap")
-        for _, raw, _, orig in read_pcap(pcap_path, orig_len=True)
+        for _, raw, _, orig in read_pcap(pcap_path)
     ]
     assert sum(short) == 16  # every frame but the bare SYNs was cut
 

@@ -258,6 +258,12 @@ def test_rules_emit_offline(tmp_path):
 
 
 DEPLOY_PAIR_RULES = """\
+*nat
+:HOLO-PRE - [0:0]
+-A PREROUTING -j HOLO-PRE
+# holo:steer backend=l4 (no port mapping)
+-A HOLO-PRE -d 10.9.1.240/28 -p tcp --dport 1:1023 -j REDIRECT
+COMMIT
 *filter
 :HOLO-IN - [0:0]
 :HOLO-OUT - [0:0]
@@ -267,8 +273,6 @@ DEPLOY_PAIR_RULES = """\
 -A HOLO-OUT -s 10.9.1.128/26 -j DROP
 -A HOLO-OUT -s 10.9.1.192/27 -j DROP
 -A HOLO-OUT -s 10.9.1.224/28 -j DROP
-# holo:steer backend=l4 (no port mapping)
--A HOLO-IN -d 10.9.1.240/28 -p tcp --dport 1:1023 -j REDIRECT
 -A HOLO-OUT -s 10.9.1.240/28 -p tcp --tcp-flags RST RST -j DROP
 -A HOLO-OUT -s 10.9.1.240/28 -m limit --limit 100/second --limit-burst 100 -j ACCEPT
 -A HOLO-IN -d 10.9.1.0/25 -j ACCEPT
@@ -289,7 +293,7 @@ def test_rules_emit_offline_pins_the_committed_deploy_pair(tmp_path):
     text = run_cli("rules", "emit", "-f", str(spec_path)).stdout
     assert text == DEPLOY_PAIR_RULES
     assert sum(line.startswith("-A HOLO-") for line in text.splitlines()) == 11
-    assert hashlib.sha256(text.encode()).hexdigest().startswith("a8056069f02e0d8f")
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("378fa73cd4576a6e")
 
 
 def test_env_var_hub_address(controller):

@@ -15,8 +15,10 @@ from holo.darknet import (
     darknet_rules,
 )
 from holo.net import AddressRange, int_to_ip, ip_to_int
-from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_SYN, PacketRecord, build_tcp
-from holo.pcapio import write_pcap
+from holo import analysis
+from holo.collector import HourlyWriter, trace_filename
+from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_ACK, TCP_SYN, PacketRecord, build_tcp
+from holo.pcapio import global_header, packet_header, read_pcap, write_pcap
 
 
 def record(dst, src="198.51.100.7", ts=0, dport=22):
@@ -30,7 +32,7 @@ RANGE24 = AddressRange.parse("10.9.0.0/24")
 def collecting(config, **kwargs):
     """A handle attached with a sink, and the list of records it captured."""
     records = []
-    return attach(config, sink=lambda record, raw: records.append(record), **kwargs), records
+    return attach(config, sink=lambda record, raw, wire_len: records.append(record), **kwargs), records
 
 
 class TestConfig:
@@ -109,7 +111,7 @@ class TestModes:
     def test_handle_without_sink_only_counts(self):
         """50k captured frames through a handle with no sink: memory stays flat."""
         src, base = ip_to_int("198.51.100.7"), ip_to_int("10.9.0.0")
-        frames = ((i, build_tcp(src, base + i % 256, 40000, 22, 5, 0, TCP_SYN), LINK_RAW_IPV4) for i in range(50_000))
+        frames = ((i, build_tcp(src, base + i % 256, 40000, 22, 5, 0, TCP_SYN), LINK_RAW_IPV4, None) for i in range(50_000))
         handle = CaptureHandle(DarknetConfig(ranges=(RANGE24,)))
         tracemalloc.start()
         try:
@@ -207,3 +209,23 @@ def test_capture_stats_and_decode_errors():
     rec = handle.offer_raw(2, raw, LINK_RAW_IPV4)
     assert rec is not None and rec.ts == 2
     assert handle.stats.captured == 1
+
+
+def test_a_frame_captured_short_keeps_its_wire_length(tmp_path):
+    """A 540-byte TCP frame captured at 96 bytes (tcpdump -s 96) is captured,
+    and the writer keeps its wire length in the trace and the flow log."""
+    ts = 1_754_006_400_000_000
+    raw = build_tcp(ip_to_int("198.51.100.7"), ip_to_int("10.9.0.9"), 40000, 80, 5, 0, TCP_ACK, b"x" * 500)
+    assert len(raw) == 540
+    source = tmp_path / "short.pcap"
+    source.write_bytes(global_header(LINK_RAW_IPV4, snaplen=96) + packet_header(ts, 96, len(raw)) + raw[:96])
+    writer = HourlyWriter(tmp_path / "traces", "s1")
+    handle = attach(DarknetConfig(ranges=(RANGE24,)), source=source, sink=writer.append)
+    meta = writer.close()
+    assert (handle.stats.captured, handle.stats.decode_errors) == (1, 0)
+    trace = tmp_path / "traces" / trace_filename("s1", meta.hour_bucket)
+    assert [(len(frame), orig) for _, frame, _, orig in read_pcap(trace)] == [(96, 540)]
+    (rows,) = analysis.index_flow_logs((tmp_path / "traces").glob("*.flows")).values()
+    table = {}
+    analysis.merge_flow_rows(table, rows, 0)
+    assert [rec[:2] for rec in table.values()] == [[1, 500]]

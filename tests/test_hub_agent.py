@@ -238,7 +238,7 @@ def test_merged_program_carves_responder_space_out_of_darknet():
         cp.ModuleSpec("responder", "hp", {"ip_ranges": ["10.9.1.240/28"], "ports": ["1-1023"]},
                       target_ids=["A1"]),
     ]
-    program, limiters, _ = assemble([(s.module_kind, s.params) for s in specs])
+    program, limiters, _, _ = assemble([(s.module_kind, s.params) for s in specs])
     synack = PacketRecord(ts=0, src_ip=ip_to_int("10.9.1.241"), dst_ip=ip_to_int("203.0.113.5"), proto=PROTO_TCP,
                           src_port=80, dst_port=41000, tcp_flags=TCP_SYN | TCP_ACK)
     action = toolbox.evaluate(program, synack, toolbox.OUT)

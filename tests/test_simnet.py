@@ -263,7 +263,7 @@ def test_pcap_dump_roundtrips_through_decode(tmp_path):
     assert n == len(gts)
     rows = list(read_pcap(path))
     assert len(rows) == n
-    for (ts, raw, link), gt in zip(rows, gts):
+    for (ts, raw, link, _), gt in zip(rows, gts):
         rec = decode(raw, link, ts=ts)
         assert rec.ts == gt.ts
         assert (int_to_ip(rec.src_ip), int_to_ip(rec.dst_ip)) == (gt.src_ip, gt.dst_ip)

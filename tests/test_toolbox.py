@@ -1,6 +1,5 @@
 import itertools
 import random
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,6 @@ from holo.toolbox import (
     Drop,
     EmptyMatch,
     Match,
-    ProgramHolder,
     RateLimit,
     RuleProgram,
     SteerToBackend,
@@ -261,8 +259,10 @@ def parse_iptables(text: str, chain_prefix: str = "HOLO"):
     """Parse emitted text back into (program, limiters, backend_ports).
 
     Inverse of emit_iptables on the representable subset: re-emitting the
-    parsed program with the returned mappings reproduces the text.
+    parsed program with the returned mappings reproduces the text. Both
+    tables are read in text order, so the nat steers come first.
     """
+    chain_pre = f"{chain_prefix}-PRE"  # nat: the steers, ahead of every filter rule
     chain_in = f"{chain_prefix}-IN"
     chain_out = f"{chain_prefix}-OUT"
     rules = []
@@ -278,9 +278,9 @@ def parse_iptables(text: str, chain_prefix: str = "HOLO"):
             continue
         tokens = line.split()
         chain = tokens[1]
-        if chain not in (chain_in, chain_out):
+        if chain not in (chain_pre, chain_in, chain_out):
             continue
-        direction = toolbox.IN if chain == chain_in else toolbox.OUT
+        direction = toolbox.OUT if chain == chain_out else toolbox.IN
         match_kwargs: dict = {}
         action = None
         i = 2
@@ -346,15 +346,21 @@ def parse_iptables(text: str, chain_prefix: str = "HOLO"):
     return toolbox.compile(rules), limiters, backend_ports
 
 
-def _representable(rule):
-    m = rule.match
-    return not (m.src_ports or m.dst_ports) or m.proto in (PROTO_TCP, PROTO_UDP)
+def _representable(rules):
+    """The rules emit_iptables can render: ports only under -p tcp or udp, and
+    only inbound steers, moved ahead of every other inbound rule."""
+    rules = [
+        r for r in rules
+        if (not (r.match.src_ports or r.match.dst_ports) or r.match.proto in (PROTO_TCP, PROTO_UDP))
+        and (r.action.kind != toolbox.ACT_STEER or r.direction == toolbox.IN)
+    ]
+    return sorted(rules, key=lambda r: r.action.kind != toolbox.ACT_STEER)
 
 
 @settings(max_examples=100, deadline=None)
 @given(programs(), st.randoms(use_true_random=False))
 def test_iptables_round_trip_evaluates_identically(rules, rnd):
-    rules = [r for r in rules if _representable(r)]
+    rules = _representable(rules)
     program = toolbox.compile(rules)
     limiters = {"egress": (100, 100)}
     parsed, parsed_limiters, _ = parse_iptables(emit_iptables(program, limiters=limiters))
@@ -429,43 +435,6 @@ class TestTokenBucket:
                 assert total <= burst + rate * window
 
 
-class TestProgramHolder:
-    def test_swap_requires_increasing_generation(self):
-        holder = ProgramHolder(toolbox.compile([], generation=1))
-        with pytest.raises(toolbox.ToolboxError):
-            holder.swap(toolbox.compile([], generation=1))
-        holder.swap(toolbox.compile([], generation=2))
-        assert holder.current().generation == 2
-
-    def test_atomic_swap_under_interleaving(self):
-        rule_a = drop_darknet_out()
-        rule_b = SteeringRule(toolbox.OUT, Match(src_range=DARKNET, proto=PROTO_TCP), Drop())
-        holder = ProgramHolder(toolbox.compile([rule_a], generation=1))
-        seen = []
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                program = holder.current()
-                # a program is observed wholesale: its rule count matches
-                # its generation's composition, never a mixture
-                seen.append((program.generation, len(program.rules)))
-
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for gen in range(2, 50):
-            rules = [rule_a] if gen % 2 == 0 else [rule_a, rule_b]
-            holder.swap(toolbox.compile(rules, generation=gen))
-        stop.set()
-        for t in threads:
-            t.join()
-        for gen, nrules in seen:
-            assert nrules == (1 if gen % 2 == 0 else 2) or gen == 1
-            if gen == 1:
-                assert nrules == 1
-
-
 class TestEmit:
     def test_darknet_drop_line(self):
         program = toolbox.compile([drop_darknet_out()])
@@ -502,6 +471,37 @@ class TestEmit:
         text = emit_iptables(toolbox.compile([rule]))
         assert "# holo:steer backend=bgp-sim (no port mapping)" in text
         assert "-j REDIRECT" in text
+
+    def test_steers_go_to_the_nat_table(self):
+        """REDIRECT is a nat target: iptables-restore refuses it under *filter."""
+        steer = SteeringRule(toolbox.IN, Match(dst_range=DARKNET, proto=PROTO_TCP, dst_ports=(PortRange(22, 22),)),
+                             SteerToBackend("l4"))
+        text = emit_iptables(toolbox.compile([steer, drop_darknet_out(), accept_all_in()]), backend_ports={"l4": 2222})
+        assert text.splitlines() == [
+            "*nat",
+            ":HOLO-PRE - [0:0]",
+            "-A PREROUTING -j HOLO-PRE",
+            "-A HOLO-PRE -d 10.9.0.0/24 -p tcp --dport 22 -j REDIRECT --to-ports 2222",
+            "COMMIT",
+            "*filter",
+            ":HOLO-IN - [0:0]",
+            ":HOLO-OUT - [0:0]",
+            "-A INPUT -j HOLO-IN",
+            "-A OUTPUT -j HOLO-OUT",
+            "-A HOLO-OUT -s 10.9.0.0/24 -j DROP",
+            "-A HOLO-IN -d 0.0.0.0/0 -j ACCEPT",
+            "COMMIT",
+        ]
+
+    @pytest.mark.parametrize("rules", [
+        [accept_all_in(), SteeringRule(toolbox.IN, Match(dst_range=DARKNET), SteerToBackend("l4"))],
+        [SteeringRule(toolbox.OUT, Match(src_range=DARKNET), SteerToBackend("l4"))],
+    ], ids=["after-an-inbound-rule", "outbound"])
+    def test_a_steer_the_nat_table_cannot_order_is_refused(self, rules):
+        # nat PREROUTING runs before the filter table, so a steer there would
+        # win over an inbound rule listed before it
+        with pytest.raises(toolbox.UnrepresentableRule):
+            emit_iptables(toolbox.compile(rules))
 
     def test_emit_parse_round_trip(self):
         rules = [
