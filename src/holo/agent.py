@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from . import collector as collector_mod
 from . import controlplane as cp
+from . import darknet as darknet_mod
 from . import overlay
 from . import toolbox
 from .assembly import Pipeline, assemble
@@ -59,8 +60,8 @@ class AgentCore:
         self.data_dir = Path(data_dir) if data_dir else None
         self.clock = clock
         self.instances: dict[str, ModuleInstance] = {}
-        owned = descriptor.address_ranges if descriptor else None
-        self.pipeline = Pipeline(assemble([], generation=0), descriptor_ranges=owned)
+        self.owned = descriptor.address_ranges if descriptor else None
+        self.pipeline = Pipeline(assemble([], generation=0))
 
     def module_manifest(self) -> list:
         return sorted(
@@ -75,6 +76,9 @@ class AgentCore:
         specs = [i.spec for i in self.instances.values() if i.status == cp.ST_RUNNING]
         pipeline = self.pipeline
         try:
+            if started is not None and started.spec.module_kind == cp.KIND_DARKNET:
+                # whole ranges, before the responders are cut out: a later removal may need them
+                darknet_mod.check_owned(darknet_mod.config_from_doc(started.spec.params), self.owned)
             built = assemble([(s.module_kind, s.params) for s in specs], generation=pipeline.program.generation + 1)
             pipeline.reconfigure(built)
             collecting = any(s.module_kind == cp.KIND_COLLECTOR for s in specs)

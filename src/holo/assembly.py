@@ -8,7 +8,7 @@ program, so none of them can disagree about a sensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from . import HoloError
 from . import darknet as darknet_mod
@@ -89,8 +89,8 @@ class PathCounters:
     rst_emitted: int = 0
 
 
-# inbound verdicts: dropped by the program, steered, captured by a darknet, or passed unclaimed
-DROPPED, STEERED, CAPTURED, PASSED = "dropped", "steered", "captured", "passed"
+# what the inbound leg did with a packet the program neither dropped nor steered
+CAPTURED, PASSED = "captured", "passed"
 
 
 class Pipeline:
@@ -102,9 +102,8 @@ class Pipeline:
     effect between packets.
     """
 
-    def __init__(self, assembly: Assembly, writer=None, descriptor_ranges=None):
+    def __init__(self, assembly: Assembly, writer=None):
         self.writer = writer
-        self.descriptor_ranges = descriptor_ranges  # darknets must stay inside these
         self.counters = PathCounters()
         self.responder_events: list[dict] = []
         self.program = self.limiter = None
@@ -113,15 +112,14 @@ class Pipeline:
 
     def reconfigure(self, assembly: Assembly) -> None:
         """Switch to assembly, whose generation must be higher. A darknet,
-        responder or limiter whose config did not change is kept, with its
-        state; if attach refuses a darknet, nothing changes."""
+        responder or limiter whose config did not change keeps its state."""
         program = assembly.program
         if self.program is not None and program.generation <= self.program.generation:
             raise toolbox.ToolboxError(f"generation must increase ({program.generation} <= {self.program.generation})")
         old = {h.config: h for h in self.handles}
         handles = tuple(
             old.pop(cfg, None)
-            or darknet_mod.attach(cfg, descriptor_ranges=self.descriptor_ranges, sink=self._capture_sink)
+            or darknet_mod.attach(cfg, sink=self._capture_sink)
             for cfg in assembly.darknets
         )
         old = {r.cfg: r for r in self.responders}
@@ -138,16 +136,16 @@ class Pipeline:
         if self.writer is not None:
             self.writer.append(record, raw, wire_len)
 
-    def inbound(self, seg, replies: list) -> str:
-        """Inbound leg of a TcpSegment or PacketRecord; returns the verdict. The
-        responders' answers to it that pass the outbound leg go to replies."""
+    def inbound(self, seg, replies: list) -> Optional[str]:
+        """Inbound leg of a TcpSegment or PacketRecord: CAPTURED, PASSED, or None if the
+        program dropped or steered it. Responder answers that pass outbound go to replies."""
         record = seg.record if isinstance(seg, responder_mod.TcpSegment) else seg
         counters = self.counters
         counters.delivered += 1
         kind = toolbox.evaluate(self.program, record, toolbox.IN).kind
         if kind == toolbox.ACT_DROP:
             counters.dropped_in += 1
-            return DROPPED
+            return None
         if kind == toolbox.ACT_STEER and self.responders:
             counters.steered += 1
             record.capture_origin = ORIGIN_RESPONDER
@@ -161,7 +159,7 @@ class Pipeline:
                     for out_seg in outbound:
                         if self.outbound(out_seg.record, now):
                             replies.append(out_seg)
-            return STEERED
+            return None
         for handle in self.handles:
             if handle.offer(record):
                 return CAPTURED

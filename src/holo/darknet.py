@@ -184,6 +184,18 @@ class CaptureHandle:
         return n
 
 
+def check_owned(config: DarknetConfig, descriptor_ranges: Optional[Iterable[AddressRange]]) -> None:
+    """Raise InvalidConfig unless each of config.ranges fits in one of
+    descriptor_ranges: a darknet may not claim address space its sensor
+    does not own. None owns everything."""
+    if descriptor_ranges is None:
+        return
+    owned = list(descriptor_ranges)
+    for rng in config.ranges:
+        if not any(o.base_int <= rng.base_int and rng.last_int <= o.last_int for o in owned):
+            raise InvalidConfig(f"range {rng} outside the sensor's address space")
+
+
 def attach(
     config: DarknetConfig,
     source=None,
@@ -192,16 +204,9 @@ def attach(
 ) -> CaptureHandle:
     """Open a capture stream for the configured ranges.
 
-    descriptor_ranges, when given, must cover config.ranges (a darknet may
-    not claim address space its sensor does not own).
+    descriptor_ranges, when given, must cover config.ranges (see check_owned).
     """
-    if descriptor_ranges is not None:
-        owned = list(descriptor_ranges)
-        for rng in config.ranges:
-            if not any(
-                o.base_int <= rng.base_int and rng.last_int <= o.last_int for o in owned
-            ):
-                raise InvalidConfig(f"range {rng} outside the sensor's address space")
+    check_owned(config, descriptor_ranges)
     handle = CaptureHandle(config, sink=sink)
     if source is not None:
         if isinstance(source, (str, Path)):

@@ -170,7 +170,7 @@ class SensorPath(Pipeline):
         ]
         if sim_sensor.responder is not None:
             modules.append((KIND_RESPONDER, sim_sensor.responder))
-        super().__init__(assemble(modules), writer=writer, descriptor_ranges=sim_sensor.ranges)
+        super().__init__(assemble(modules), writer=writer)
         self.sensor = sim_sensor
         (self.handle,) = self.handles
         # the darknet keeps to passive space: the responder's ranges are carved out

@@ -169,6 +169,19 @@ def test_a_module_that_cannot_start_crashes_alone(kind, params):
     assert pipeline.handles == handles and pipeline.responders == responders
 
 
+def test_a_darknet_owns_its_ranges_before_the_responders_are_cut_out():
+    """Cut, 10.9.1.0/24 would fit the two /25s; whole, it fits neither. It
+    must not start, or stopping the responder would need the whole /24."""
+    desc = cp.SensorDescriptor("A1", "org-a", address_ranges=["10.9.1.0/25", "10.9.1.128/25"], honeypot_allowed=True)
+    core = agent_with([(cp.KIND_RESPONDER, RESPONDER_28), (cp.KIND_DARKNET, DARKNET_24)], descriptor=desc)
+    assert core.instances["i1"].status == cp.ST_CRASHED
+    assert core.pipeline.handles == ()
+    core.apply_action(cp.Action("stop", "A1", "i0"))
+    assert {doc["instance_id"]: doc["status"] for doc in core.heartbeat_fragment()} == {"i1": cp.ST_CRASHED}
+    assert core.pipeline.handles == core.pipeline.responders == ()
+    assert core.pipeline.program.rules == ()
+
+
 def test_reconfigure_keeps_the_runtime_of_every_unchanged_config():
     pipeline = Pipeline(assemble([(cp.KIND_DARKNET, DARKNET_24), (cp.KIND_RESPONDER, RESPONDER_28)]))
     (handle,), (responder,) = pipeline.handles, pipeline.responders
