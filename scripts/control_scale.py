@@ -3,7 +3,9 @@
 
 For each fleet size, builds a Controller on a temporary data directory,
 onboards that many sensors (a token plus `onboard` each, both appended
-to state.log), deploys three darknet specs that select sensors by label,
+to state.log), deploys three darknet specs that select sensors by label
+(the controller puts a darknet only on sensors that own its range, so
+each descriptor also holds that range),
 and runs one heartbeat round: `heartbeat` plus `actions_for` for every
 sensor, as the hub does per heartbeat frame. Then restarts a Controller
 from that directory. Prints the onboarding time per sensor, the restart
@@ -22,6 +24,7 @@ from holo import overlay
 ADMIN = cp.Principal("admin", cp.ROLE_ADMIN)
 REGISTRY_CALLS = 1000
 SIZES = (60, 240, 960)
+DARKNET_RANGE = "10.255.0.0/24"  # every sensor owns it, so every darknet lands
 
 
 def build(n_sensors: int, data_dir: str) -> tuple[cp.Controller, float]:
@@ -32,7 +35,7 @@ def build(n_sensors: int, data_dir: str) -> tuple[cp.Controller, float]:
     for i in range(n_sensors):
         sid = f"s{i:04d}"
         desc = cp.SensorDescriptor(
-            sid, f"org-{i % 7}", "ITA", [f"10.{i // 256}.{i % 256}.0/24"],
+            sid, f"org-{i % 7}", "ITA", [f"10.{i // 256}.{i % 256}.0/24", DARKNET_RANGE],
             labels={"role": "telescope", "tier": "edge" if i % 2 else "core"},
         )
         token = controller.issue_token(ADMIN, sid, 3600.0)
@@ -41,7 +44,7 @@ def build(n_sensors: int, data_dir: str) -> tuple[cp.Controller, float]:
     selectors = ({"role": "telescope"}, {"tier": "edge"}, {"tier": "core"})
     for k, labels in enumerate(selectors):
         controller.set_desired(ADMIN, cp.ModuleSpec(
-            cp.KIND_DARKNET, f"dk{k}", {"ranges": ["10.255.0.0/24"]}, target_labels=labels,
+            cp.KIND_DARKNET, f"dk{k}", {"ranges": [DARKNET_RANGE]}, target_labels=labels,
         ))
     return controller, onboard_s
 

@@ -25,9 +25,6 @@ from . import HoloError, pcapio
 from .net import AddressRange, int_to_ip
 from .packets import (
     PROTO_TCP,
-    TCP_ACK,
-    TCP_RST,
-    TCP_SYN,
     DecodeError,
     FlowKey,
     PacketRecord,
@@ -408,11 +405,6 @@ class PortDistribution:
             out.append((port, self.counts[port], acc / total))
         return out
 
-    def fraction_at(self, port: int) -> float:
-        total = self.total
-        if not total:
-            return 0.0
-        return sum(n for p, n in self.counts.items() if p <= port) / total
 
 
 def port_cdf(tables: Iterable[dict], weight: str = WEIGHT_PACKETS) -> PortDistribution:
@@ -429,24 +421,6 @@ def port_cdf(tables: Iterable[dict], weight: str = WEIGHT_PACKETS) -> PortDistri
                 port = key[5]
                 counts[port] = get(port, 0) + (rec[0] if by_packets else 1)
     return PortDistribution(counts=counts, weight=weight)
-
-
-def classify_backscatter(pkt: PacketRecord) -> bool:
-    """True for TCP SYN/ACK: the signature of replies to spoofed attacks."""
-    return pkt.proto == PROTO_TCP and (pkt.tcp_flags & (TCP_SYN | TCP_ACK)) == (
-        TCP_SYN | TCP_ACK
-    )
-
-
-def backscatter_label(pkt: PacketRecord) -> Optional[str]:
-    """Extended backscatter-class label; RST replies count here, not in the bool."""
-    if pkt.proto != PROTO_TCP:
-        return None
-    if (pkt.tcp_flags & (TCP_SYN | TCP_ACK)) == (TCP_SYN | TCP_ACK):
-        return "synack"
-    if pkt.tcp_flags & TCP_RST:
-        return "rst"
-    return None
 
 
 @dataclass

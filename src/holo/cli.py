@@ -144,26 +144,13 @@ def cmd_agent(args) -> int:
     return 0
 
 
-def _spec_from_doc(doc: dict):
-    from . import controlplane as cp
-
-    target = doc.get("target", {})
-    return cp.ModuleSpec(
-        module_kind=doc["module_kind"],
-        name=doc["name"],
-        params=doc.get("params", {}),
-        target_ids=target.get("ids", doc.get("target_ids", [])),
-        target_labels=target.get("labels", doc.get("target_labels", {})),
-        replicas=int(doc.get("replicas", 1)),
-        version=str(doc.get("version", "1")),
-    )
-
-
 def cmd_deploy(args) -> int:
     import yaml
 
+    from . import controlplane as cp
+
     doc = yaml.safe_load(Path(args.file).read_text())
-    spec = _spec_from_doc(doc)
+    spec = cp.ModuleSpec.from_doc(doc)
     reply = _admin(args, {"op": "deploy", "principal": args.principal, "spec": spec.to_doc()})
     _emit(args, reply, f"deployed {spec.name} -> {reply['delta']['sensors']}")
     return 0
@@ -322,11 +309,14 @@ def cmd_rules_emit(args) -> int:
     if args.file:
         import yaml
 
+        from . import controlplane as cp
         from .assembly import assemble
         from .toolbox import emit_iptables
 
         docs = yaml.safe_load(Path(args.file).read_text())
-        specs = [_spec_from_doc(d) for d in (docs if isinstance(docs, list) else [docs])]
+        specs = [cp.ModuleSpec.from_doc(d) for d in (docs if isinstance(docs, list) else [docs])]
+        for spec in specs:
+            cp.validate_spec(spec)  # what deploy would refuse, with the same message
         built = assemble([(s.module_kind, s.params) for s in specs])
         text = emit_iptables(built.program, limiters=built.limiters)
     else:

@@ -413,14 +413,6 @@ class LocalLake:
         actual, _ = _digest(_trace_chunks(pcap))
         return actual if actual == recorded else None
 
-    def holdings(self) -> list[tuple[str, str]]:
-        out = []
-        for meta_path in sorted(self.root.rglob("*.meta.json")):
-            doc = json.loads(meta_path.read_text())
-            out.append((doc["sensor_id"], doc["hour_bucket"]))
-        return out
-
-
 @dataclass
 class SyncPolicy:
     enabled: bool = True

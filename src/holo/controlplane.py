@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import HoloError, overlay
-from .assembly import KIND_COLLECTOR, KIND_DARKNET, KIND_RESPONDER, KIND_TOOLBOX, KIND_WORKLOAD, MODULE_KINDS
+from . import HoloError, darknet, overlay
+from .assembly import KIND_COLLECTOR, KIND_DARKNET, KIND_RESPONDER, KIND_TOOLBOX, KIND_WORKLOAD, MODULE_KINDS, assemble
 from .net import AddressRange, ranges_overlap
 
 HEARTBEAT_INTERVAL = 10.0
@@ -123,7 +123,10 @@ class SensorDescriptor:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SensorDescriptor":
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except (TypeError, ValueError) as exc:  # an unknown or missing key, a bad range
+            raise ValidationError(f"bad sensor descriptor: {exc}") from None
 
 
 @dataclass
@@ -136,6 +139,10 @@ class OnboardToken:
 
     def to_doc(self) -> dict:
         return asdict(self)
+
+
+# a spec document's keys: ModuleSpec's fields, and a deploy file's `target`
+SPEC_KEYS = {"module_kind", "name", "params", "target", "target_ids", "target_labels", "replicas", "version"}
 
 
 @dataclass
@@ -153,10 +160,39 @@ class ModuleSpec:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ModuleSpec":
-        return cls(**doc)
+        """Parse a spec document: the form to_doc writes, or a deploy file's,
+        whose `target: {ids, labels}` stands for target_ids and target_labels."""
+        if not isinstance(doc, dict):
+            raise SchemaError("a module spec must be a mapping")
+        target, params = doc.get("target", {}), doc.get("params", {})
+        if not isinstance(target, dict) or not isinstance(params, dict):
+            raise SchemaError("module spec 'target' and 'params' must be mappings")
+        unknown = sorted(set(doc) - SPEC_KEYS) + sorted(f"target.{k}" for k in set(target) - {"ids", "labels"})
+        if unknown:
+            raise SchemaError(f"unknown module spec keys {unknown}")
+        try:
+            return cls(
+                module_kind=doc["module_kind"],
+                name=doc["name"],
+                params=params,
+                target_ids=target.get("ids", doc.get("target_ids", [])),
+                target_labels=target.get("labels", doc.get("target_labels", {})),
+                replicas=int(doc.get("replicas", 1)),
+                version=str(doc.get("version", "1")),
+            )
+        except KeyError as exc:
+            raise SchemaError(f"module spec needs {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad module spec: {exc}") from None
+
+
+# what the sensor's builder raises for params it cannot build
+BUILD_ERRORS = (HoloError, KeyError, TypeError, ValueError)
 
 
 def validate_spec(spec: ModuleSpec) -> None:
+    """Check a spec's schema, then that the sensor's own builder, `assemble`,
+    can build its params."""
     if spec.module_kind not in MODULE_KINDS:
         raise SchemaError(f"unknown module kind {spec.module_kind!r}")
     if not spec.name:
@@ -166,26 +202,18 @@ def validate_spec(spec: ModuleSpec) -> None:
     if not spec.target_ids and not spec.target_labels:
         raise SchemaError("spec targets no sensors")
     params = spec.params
-    if spec.module_kind == KIND_DARKNET:
-        ranges = params.get("ranges")
-        if not isinstance(ranges, list) or not ranges:
-            raise SchemaError("darknet params need a non-empty 'ranges' list")
-        for r in ranges:
-            AddressRange.parse(r)
-        if params.get("mode", "direct") not in ("direct", "routed", "arp"):
-            raise SchemaError(f"bad darknet mode {params.get('mode')!r}")
-    elif spec.module_kind == KIND_RESPONDER:
-        if not params.get("ip_ranges") or not params.get("ports"):
-            raise SchemaError("responder params need 'ip_ranges' and 'ports'")
-        for r in params["ip_ranges"]:
-            AddressRange.parse(r)
-    elif spec.module_kind == KIND_WORKLOAD:
-        if not params.get("behavior"):
-            raise SchemaError("workload params need a 'behavior' identifier")
-    elif spec.module_kind == KIND_COLLECTOR:
+    if spec.module_kind == KIND_WORKLOAD and not params.get("behavior"):
+        raise SchemaError("workload params need a 'behavior' identifier")
+    if spec.module_kind == KIND_COLLECTOR:
         retention = params.get("retention_hours", 24)
         if not isinstance(retention, int) or retention < 1:
             raise SchemaError("collector retention_hours must be a positive integer")
+    try:
+        assemble([(spec.module_kind, params)])
+    except KeyError as exc:
+        raise SchemaError(f"{spec.module_kind} params need {exc}") from None
+    except BUILD_ERRORS as exc:
+        raise SchemaError(f"bad {spec.module_kind} params: {exc}") from None
 
 
 @dataclass
@@ -295,32 +323,6 @@ def reconcile(
                 taken.add(new_id)
                 actions.append(Action("start", sensor_id, new_id, spec))
     return actions
-
-
-def apply_actions(report: SensorReport, actions: list[Action], sensor_id: str) -> None:
-    """Faithful executor used by tests and the in-process agent."""
-    for action in actions:
-        if action.sensor_id != sensor_id:
-            continue
-        if action.kind == "stop":
-            report.instances = [
-                i for i in report.instances if i.instance_id != action.instance_id
-            ]
-        elif action.kind == "restart":
-            for inst in report.instances:
-                if inst.instance_id == action.instance_id:
-                    inst.status = ST_RUNNING
-        elif action.kind == "start":
-            report.instances.append(
-                InstanceStatus(
-                    instance_id=action.instance_id,
-                    sensor_id=sensor_id,
-                    spec_name=action.spec.name,
-                    module_kind=action.spec.module_kind,
-                    status=ST_RUNNING,
-                    version=action.spec.version,
-                )
-            )
 
 
 @dataclass
@@ -587,8 +589,10 @@ class Controller:
             targets = self.resolve_target(spec)
             self._require(principal, orgs=[self.sensors[s].org for s in targets])
             for sid in targets:
-                if not self._capability_ok(spec, sid):
-                    raise CapabilityDenied(f"sensor {sid!r} does not allow {spec.module_kind}s")
+                # a label selector puts a darknet on the matching sensors that own its ranges
+                refusal = self._refusal(spec, sid, ownership=sid in spec.target_ids)
+                if refusal:
+                    raise CapabilityDenied(refusal)
             self._record({"op": "desired_set", "spec": spec.to_doc()})
             return {"spec": spec.name, "sensors": targets}
 
@@ -601,13 +605,21 @@ class Controller:
             self._require(principal, orgs=[self.sensors[s].org for s in targets])
             self._record({"op": "desired_removed", "name": name})
 
-    def _capability_ok(self, spec: ModuleSpec, sensor_id: str) -> bool:
+    def _refusal(self, spec: ModuleSpec, sensor_id: str, ownership: bool = True) -> Optional[str]:
+        """Why spec cannot run on sensor_id, or None if it can: the sensor
+        lacks the capability, or (if ownership) does not own the darknet's
+        ranges, the check its agent makes when the darknet starts."""
         desc = self.sensors[sensor_id]
         if spec.module_kind == KIND_RESPONDER and not desc.honeypot_allowed:
-            return False
+            return f"sensor {sensor_id!r} does not allow responders"
         if spec.module_kind == KIND_WORKLOAD and not desc.workload_allowed:
-            return False
-        return True
+            return f"sensor {sensor_id!r} does not allow workloads"
+        if ownership and spec.module_kind == KIND_DARKNET:
+            try:
+                darknet.check_owned(darknet.config_from_doc(spec.params), desc.address_ranges)
+            except BUILD_ERRORS as exc:  # validate_spec builds it, but an older log may hold any spec
+                return f"sensor {sensor_id!r}: {exc}"
+        return None
 
     def _desired_index(self) -> dict[str, list[ModuleSpec]]:
         """The cached per-sensor spec lists; callers must not mutate them."""
@@ -616,15 +628,16 @@ class Controller:
             for name in sorted(self.desired_specs):
                 spec = self.desired_specs[name]
                 for sid in self.resolve_target(spec):
-                    if self._capability_ok(spec, sid):
+                    if self._refusal(spec, sid) is None:
                         desired[sid].append(spec)
             self._desired = desired
         return self._desired
 
     def desired_state(self) -> dict[str, list[ModuleSpec]]:
-        """Per-sensor spec lists, sorted by spec name; capability checks
-        re-applied at resolution time so label selectors can never reach a
-        sensor that joined later without the capability."""
+        """Per-sensor spec lists, sorted by spec name; capability and
+        ownership checks re-applied at resolution time so label selectors can
+        never reach a sensor that joined later without the capability or the
+        darknet's ranges."""
         with self._lock:
             return {sid: list(specs) for sid, specs in self._desired_index().items()}
 
@@ -651,18 +664,9 @@ class Controller:
             )
             return {"ack": True}
 
-    def reconcile_now(self) -> list[Action]:
-        """The whole fleet's actions; the reference `actions_for` must match."""
-        with self._lock:
-            return reconcile(
-                self.desired_state(),
-                self.reported,
-                self.clock(),
-                self.heartbeat_interval,
-            )
-
     def actions_for(self, sensor_id: str) -> list[Action]:
-        """One sensor's actions: reconciles that sensor alone.
+        """One sensor's actions: reconciles that sensor alone, which gives
+        the whole fleet's reconcile filtered to that sensor.
 
         A restart drops the instance's pending record, so a restarted
         instance that reports pending again gets a fresh deadline.

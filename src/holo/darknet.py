@@ -57,9 +57,14 @@ class DarknetConfig:
 
 
 def config_from_doc(params: dict) -> DarknetConfig:
-    """Build a DarknetConfig from deploy-document parameters."""
+    """Build a DarknetConfig from deploy-document parameters, which must
+    name at least one range. (A config may have none: carving the
+    responders out of a darknet can leave it empty.)"""
+    ranges = tuple(AddressRange.parse(r) for r in params["ranges"])
+    if not ranges:
+        raise InvalidConfig("a darknet needs at least one range")
     return DarknetConfig(
-        ranges=tuple(AddressRange.parse(r) for r in params["ranges"]),
+        ranges=ranges,
         mode=params.get("mode", MODE_DIRECT),
         sensor_ip=params.get("sensor_ip"),
     )

@@ -16,6 +16,7 @@ import struct
 import threading
 from pathlib import Path
 
+from . import HoloError
 from . import collector as collector_mod
 from . import controlplane as cp
 from . import overlay
@@ -308,6 +309,8 @@ class HubServer:
         return principal
 
     def handle_admin(self, doc: dict) -> dict:
+        if not isinstance(doc, dict):
+            return {"error": "BadRequest", "message": "a request must be a JSON object"}
         op = doc.get("op")
         try:
             if op == "onboard":
@@ -364,7 +367,7 @@ class HubServer:
             return {"error": "UnknownOp", "message": f"no such op {op!r}"}
         except KeyError as exc:
             return {"error": "BadRequest", "message": f"missing field {exc}"}
-        except (cp.ControlPlaneError, ValueError) as exc:
+        except (HoloError, ValueError) as exc:
             return {"error": type(exc).__name__, "message": str(exc)}
 
 

@@ -158,10 +158,6 @@ def build_icmp(src_ip: int, dst_ip: int, icmp_type: int, code: int = 0, payload:
     return build_ipv4(PROTO_ICMP, src_ip, dst_ip, header + payload)
 
 
-def wrap_ethernet(ip_packet: bytes, src_mac: bytes = b"\x02\x00\x00\x00\x00\x01", dst_mac: bytes = b"\x02\x00\x00\x00\x00\x02") -> bytes:
-    return dst_mac + src_mac + struct.pack(">H", ETHERTYPE_IPV4) + ip_packet
-
-
 _ETHERTYPE = struct.Struct(">H")
 # version/IHL, total length, flags/fragment offset, protocol, source, destination
 _IPV4 = struct.Struct(">BxHxxHxBxxII")

@@ -60,14 +60,3 @@ def read_pcap(source):
             pos += incl
             yield sec * 1_000_000 + usec, raw, link_type, orig
 
-
-def write_pcap(path, packets, link_type: int = LINK_RAW_IPV4) -> int:
-    """Write (ts_us, raw_bytes) pairs; returns the packet count."""
-    count = 0
-    with open(path, "wb") as fh:
-        fh.write(global_header(link_type))
-        for ts_us, raw in packets:
-            fh.write(packet_header(ts_us, len(raw)))
-            fh.write(raw)
-            count += 1
-    return count

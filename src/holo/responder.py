@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import toolbox
+from . import HoloError, toolbox
 from .net import AddressRange, PortRange, any_contains, int_to_ip, ports_contain
 from .packets import (
     ORIGIN_RESPONDER,
@@ -35,7 +35,7 @@ CAPTURED = "captured"
 CLOSED = "closed"
 
 
-class ResponderError(Exception):
+class ResponderError(HoloError):
     pass
 
 
@@ -57,6 +57,8 @@ class ResponderConfig:
     idle_timeout: float = 60.0
 
     def __post_init__(self):
+        if not self.ip_ranges:
+            raise ResponderError("ip_ranges must not be empty")
         if not self.port_set:
             raise ResponderError("port_set must not be empty")
         matches = list(self.backend_map)

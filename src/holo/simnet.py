@@ -32,7 +32,6 @@ from .packets import (
     TCP_SYN,
     FlowKey,
     PacketRecord,
-    encode_record,
 )
 
 DEFAULT_START_US = 1_754_006_400_000_000  # 2025-08-01T00:00:00Z
@@ -515,25 +514,3 @@ def scripted_client(
             raise ValueError(f"unknown dialog op {op!r}")
     return transcript
 
-
-def dump_pcap(report: SimReport, path, sensor: Optional[str] = None) -> int:
-    """Write generated traffic as pcap for cross-checking the decode path."""
-    from .pcapio import write_pcap
-
-    rows = []
-    for gt in report.ground_truth:
-        if sensor is not None and gt.sensor != sensor:
-            continue
-        record = PacketRecord(
-            ts=gt.ts,
-            src_ip=ip_to_int(gt.src_ip),
-            dst_ip=ip_to_int(gt.dst_ip),
-            proto=gt.proto,
-            src_port=gt.src_port,
-            dst_port=gt.dst_port,
-            tcp_flags=gt.tcp_flags,
-            payload_len=gt.payload_len,
-            payload_prefix=b"\x00" * min(gt.payload_len, 256),
-        )
-        rows.append((gt.ts, encode_record(record)))
-    return write_pcap(path, rows)

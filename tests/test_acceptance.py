@@ -21,12 +21,12 @@ from holo.controlplane import (
     ModuleSpec,
     Principal,
     SensorDescriptor,
-    apply_actions,
 )
 from holo.packets import PROTO_TCP, TCP_RST, TCP_SYN, TCP_ACK, FlowKey, PacketRecord
 from holo.simnet import ScannerProfile, SimConfig, SimSensor, scripted_client
 
 from flow_reference import run_to_traces
+from trace_reference import lake_holdings
 
 ADMIN = Principal("admin", cp.ROLE_ADMIN)
 
@@ -413,7 +413,7 @@ def test_criterion_09_sync_safety_under_crashes(tmp_path):
                 assert lake.verified_hash("s1", meta.hour_bucket) == meta.content_hash
         # recovery converges the lake to the sealed set
         sync(policy, local, lake, now=now)
-        assert {("s1", m.hour_bucket) for m in metas} == set(lake.holdings())
+        assert {("s1", m.hour_bucket) for m in metas} == set(lake_holdings(lake))
         for meta in metas:
             assert lake.verified_hash("s1", meta.hour_bucket) == meta.content_hash
         checked += 1

@@ -257,6 +257,21 @@ def test_rules_emit_offline(tmp_path):
     assert "-A HOLO-OUT -s 10.9.7.0/24 -j DROP" in proc.stdout
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"ip_ranges": ["10.9.7.0/28"], "ports": []}, "port_set must not be empty"),
+    ({"ip_ranges": ["10.9.7.0/28"]}, "responder params need 'ports'"),
+])
+def test_rules_emit_offline_refuses_what_deploy_refuses(tmp_path, params, message):
+    spec_path = tmp_path / "hp.yaml"
+    spec_path.write_text(yaml.safe_dump({
+        "module_kind": "responder", "name": "hp", "params": params, "target": {"ids": ["A1"]},
+    }))
+    proc = run_cli("rules", "emit", "-f", str(spec_path), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: SchemaError: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 DEPLOY_PAIR_RULES = """\
 *nat
 :HOLO-PRE - [0:0]
@@ -472,10 +487,11 @@ ERROR_ROOTS = [
     ("darknet", "DarknetError"),
     ("analysis", "AnalysisError"),
     ("toolbox", "ToolboxError"),
+    ("responder", "ResponderError"),
 ]
 
 
-def test_the_seven_error_roots_are_exactly_the_holo_errors():
+def test_the_eight_error_roots_are_exactly_the_holo_errors():
     import holo
 
     roots = {getattr(importlib.import_module(f"holo.{module}"), name) for module, name in ERROR_ROOTS}

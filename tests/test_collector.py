@@ -35,9 +35,10 @@ from holo.packets import (
     TCP_SYN,
     PacketRecord,
     build_tcp,
-    wrap_ethernet,
 )
 from holo.pcapio import GLOBAL_HEADER, PACKET_HEADER, read_pcap
+
+from trace_reference import lake_holdings, wrap_ethernet, write_pcap
 
 H10 = bucket_start_us("2025-08-01-10")
 HOUR_US = collector.HOUR_US
@@ -282,7 +283,7 @@ class TestSync:
         lake = LocalLake(tmp_path / "lake")
         report = sync(SyncPolicy(enabled=False), local, lake)
         assert report.uploaded == 0 and report.deleted == 0
-        assert lake.holdings() == []
+        assert lake_holdings(lake) == []
 
     def test_upload_then_retention_arithmetic(self, tmp_path):
         # 30 hourly files, retention 24h measured from the newest file's end
@@ -292,7 +293,7 @@ class TestSync:
         report = sync(SyncPolicy(retention_hours=24), local, lake, now=now)
         assert report.uploaded == 30
         assert report.deleted == 6
-        assert len(lake.holdings()) == 30
+        assert len(lake_holdings(lake)) == 30
         assert len(list_sealed(local)) == 24
 
     def test_nothing_deleted_without_lake_copy(self, tmp_path):
@@ -509,13 +510,13 @@ def test_crash_at_every_sync_step_never_loses_data(tmp_path):
         # recovery: a clean re-run converges the lake to the sealed set
         sync(policy, local_k, lake, now=now)
         assert_no_loss(local_k, lake, metas)
-        assert {(m.sensor_id, m.hour_bucket) for m in metas} == set(lake.holdings())
+        assert {(m.sensor_id, m.hour_bucket) for m in metas} == set(lake_holdings(lake))
 
 
 def test_lake_writes_no_flow_log_it_cannot_vouch_for(tmp_path):
     """An upload that is no pcap, or holds a packet outside its bucket's UTC
     day, gets no flow log, and a stale one from an earlier upload goes."""
-    from holo import cli, pcapio
+    from holo import cli
     from holo.packets import encode_record
 
     lake = LocalLake(tmp_path / "lake")
@@ -529,7 +530,7 @@ def test_lake_writes_no_flow_log_it_cannot_vouch_for(tmp_path):
         lake.finalize("s1", bucket, TraceFileMeta("s1", bucket, 1, len(data), [], True, digest), digest)
 
     good = tmp_path / "good.pcap"
-    pcapio.write_pcap(good, [(H10, encode_record(record(H10)))])
+    write_pcap(good, [(H10, encode_record(record(H10)))])
     upload(good.read_bytes())
     assert log.exists()
     upload(b"not a pcap at all")
@@ -541,7 +542,7 @@ def test_lake_writes_no_flow_log_it_cannot_vouch_for(tmp_path):
     upload(good.read_bytes())
     assert log.exists()
     next_day = tmp_path / "next_day.pcap"
-    pcapio.write_pcap(next_day, [(H10 + 86_400_000_000, encode_record(record(H10)))])
+    write_pcap(next_day, [(H10 + 86_400_000_000, encode_record(record(H10)))])
     upload(next_day.read_bytes())
     assert not log.exists()
     # the walk reads the packet's own day
@@ -577,13 +578,13 @@ def test_interrupted_sidecar_write_leaves_no_partial_meta(tmp_path, monkeypatch)
     with pytest.raises(OSError):
         lake.finalize("s1", bucket, meta, digest)
     assert list((tmp_path / "lake").rglob("*.meta.json")) == []
-    assert lake.holdings() == []
+    assert lake_holdings(lake) == []
     assert lake.verified_hash("s1", bucket) is None
 
     monkeypatch.undo()  # the retried upload completes
     lake.put_chunk("s1", bucket, 0, data)
     lake.finalize("s1", bucket, meta, digest)
-    assert lake.holdings() == [("s1", bucket)]
+    assert lake_holdings(lake) == [("s1", bucket)]
     assert lake.verified_hash("s1", bucket) == digest
 
 
@@ -717,7 +718,7 @@ def test_sync_raises_when_a_resent_hour_fails_its_hash_again(tmp_path):
     with pytest.raises(collector.HashMismatch, match="hash mismatch for s1/2025-08-01-10"):
         sync(SyncPolicy(retention_hours=1), local, lake, now=H10 / 1e6 + 10 * 3600)
     assert lake.finalized == 2
-    assert lake.holdings() == [] and len(list_sealed(local)) == 2
+    assert lake_holdings(lake) == [] and len(list_sealed(local)) == 2
 
 
 def test_read_pcap_closes_a_path_it_stops_reading(tmp_path, monkeypatch):

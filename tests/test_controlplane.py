@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from holo import controlplane as cp
 from holo import overlay
+from holo.net import AddressRange
 from holo.controlplane import (
     Action,
     CapabilityDenied,
@@ -33,9 +34,10 @@ from holo.controlplane import (
     Unauthorized,
     UnknownSensor,
     ValidationError,
-    apply_actions,
     reconcile,
 )
+
+from control_reference import apply_actions, reconcile_now
 
 ADMIN = Principal("admin", cp.ROLE_ADMIN)
 
@@ -170,6 +172,25 @@ class TestOnboard:
             descriptor(ranges=("10.9.1.77/24",))
 
 
+# params that assemble refuses, so set_desired must refuse them too
+BAD_PARAMS = {
+    "darknet-without-ranges": ("darknet", {}),
+    "darknet-empty-ranges": ("darknet", {"ranges": []}),
+    "routed-darknet-without-sensor-ip": ("darknet", {"ranges": ["10.9.1.0/24"], "mode": "routed"}),
+    "toolbox-egress-rate-not-a-number": ("toolbox", {"egress_rate": "fast"}),
+    "responder-without-ports": ("responder", {"ip_ranges": ["10.9.1.0/28"]}),
+    "responder-empty-ip-ranges": ("responder", {"ip_ranges": [], "ports": ["22"]}),
+    "responder-port-name": ("responder", {"ip_ranges": ["10.9.1.0/28"], "ports": ["ssh"]}),
+    "responder-backends-overlap": ("responder", {
+        "ip_ranges": ["10.9.1.0/28"], "ports": ["1-1023"],
+        "backends": [
+            {"ip_range": "10.9.1.0/28", "ports": "22", "backend_id": "ssh"},
+            {"ip_range": "10.9.1.0/29", "ports": "1-100", "backend_id": "low"},
+        ],
+    }),
+}
+
+
 class TestSetDesired:
     def test_responder_needs_honeypot_capability(self):
         c = make_controller()
@@ -201,14 +222,43 @@ class TestSetDesired:
         with pytest.raises(UnknownSensor):
             c.set_desired(ADMIN, darknet_spec(targets=("nope",)))
 
-    def test_bad_params_schema(self):
+    @pytest.mark.parametrize("kind, params", list(BAD_PARAMS.values()), ids=list(BAD_PARAMS))
+    def test_bad_params_schema(self, kind, params):
+        """set_desired refuses what the agent's builder, assemble, cannot build."""
         c = make_controller()
         onboard(c, descriptor())
         with pytest.raises(SchemaError):
-            c.set_desired(ADMIN, ModuleSpec("darknet", "dk", {}, target_ids=["A1"]))
-        with pytest.raises(SchemaError):
-            c.set_desired(ADMIN, ModuleSpec("responder", "hp", {"ip_ranges": ["10.9.1.0/28"]},
-                                            target_ids=["A1"]))
+            c.set_desired(ADMIN, ModuleSpec(kind, "m", params, target_ids=["A1"]))
+        assert c.desired_specs == {}
+
+    def test_darknet_outside_the_target_is_denied_and_names_the_range(self):
+        c = make_controller()
+        onboard(c, descriptor(ranges=("10.9.1.0/25", "10.9.1.128/25")))
+        spec = ModuleSpec("darknet", "dk", {"ranges": ["10.9.1.0/25", "10.9.2.0/24"]}, target_ids=["A1"])
+        with pytest.raises(CapabilityDenied, match="10.9.2.0/24"):
+            c.set_desired(ADMIN, spec)
+        # a range that fits in one descriptor range is owned; one across two is not
+        with pytest.raises(CapabilityDenied, match="10.9.1.0/24"):
+            c.set_desired(ADMIN, ModuleSpec("darknet", "dk", {"ranges": ["10.9.1.0/24"]}, target_ids=["A1"]))
+        c.set_desired(ADMIN, ModuleSpec("darknet", "dk", {"ranges": ["10.9.1.128/26"]}, target_ids=["A1"]))
+        assert [s.name for s in c.desired_state()["A1"]] == ["dk"]
+
+    def test_label_selector_puts_a_darknet_only_on_sensors_that_own_it(self):
+        c = make_controller()
+        onboard(c, descriptor(labels={"tier": "edge"}))
+        onboard(c, descriptor(sensor_id="B1", ranges=("10.9.2.0/24",), labels={"tier": "edge"}))
+        spec = ModuleSpec("darknet", "dk", {"ranges": ["10.9.1.0/26"]}, target_labels={"tier": "edge"})
+        assert c.set_desired(ADMIN, spec)["sensors"] == ["A1", "B1"]
+        onboard(c, descriptor(sensor_id="C1", ranges=("10.9.0.0/16",), labels={"tier": "edge"}))
+        desired = c.desired_state()
+        assert {sid: [s.name for s in specs] for sid, specs in desired.items()} == {
+            "A1": ["dk"], "B1": [], "C1": ["dk"],
+        }
+        # an explicit target must own the range, whatever the selector matches
+        spec = ModuleSpec("darknet", "dk2", {"ranges": ["10.9.1.0/26"]},
+                          target_ids=["B1"], target_labels={"tier": "edge"})
+        with pytest.raises(CapabilityDenied, match="'B1'"):
+            c.set_desired(ADMIN, spec)
 
     def test_org_operator_scoped(self):
         c = make_controller()
@@ -548,6 +598,19 @@ class TestPersistence:
         assert (src / "state.log").read_bytes().startswith(log)
 
 
+def test_documents_round_trip_and_refuse_unknown_keys():
+    """What to_doc writes to state.log, from_doc reads back; nothing else."""
+    spec = ModuleSpec("darknet", "dk", {"ranges": ["10.9.1.0/24"]}, target_ids=["A1"],
+                      target_labels={"zone": "a"}, replicas=2, version="7")
+    assert ModuleSpec.from_doc(json.loads(json.dumps(spec.to_doc()))) == spec
+    desc = descriptor(labels={"zone": "a"})
+    assert SensorDescriptor.from_doc(json.loads(json.dumps(desc.to_doc()))) == desc
+    with pytest.raises(SchemaError, match="priority"):
+        ModuleSpec.from_doc(dict(spec.to_doc(), priority=1))
+    with pytest.raises(ValidationError, match="region"):
+        SensorDescriptor.from_doc(dict(desc.to_doc(), region="eu"))
+
+
 def test_secret_files_are_0600_from_creation(tmp_path, monkeypatch):
     """The hub key and the agent identity never exist with a wider mode."""
     from holo.agent import AgentIdentity
@@ -611,7 +674,7 @@ def test_capability_safety_randomized_sequences():
                 for sid in sensors:
                     c.heartbeat(sid, [i.to_doc() for i in reports[sid].instances])
             elif op == 2:
-                actions = c.reconcile_now()
+                actions = reconcile_now(c)
                 for sid in sensors:
                     apply_actions(reports[sid], actions, sid)
             else:
@@ -645,7 +708,7 @@ class TestPendingDeadline:
             assert c.reported["A1"].pending_since == {"dk-0": first_seen}
         clock.advance(1.0)
         c.heartbeat("A1", pending)
-        fleet = c.reconcile_now()
+        fleet = reconcile_now(c)
         actions = c.actions_for("A1")
         assert [(a.kind, a.instance_id) for a in actions] == [("restart", "dk-0")]
         assert actions == fleet
@@ -698,7 +761,8 @@ STATUSES = (cp.ST_PENDING, cp.ST_RUNNING, cp.ST_CRASHED, cp.ST_STOPPED)
 
 fleet_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("onboard"), st.integers(0, len(LABEL_SETS) - 1), st.booleans(), st.booleans()),
+        st.tuples(st.just("onboard"), st.integers(0, len(LABEL_SETS) - 1), st.booleans(), st.booleans(),
+                  st.booleans()),
         st.tuples(
             st.just("deploy"), st.sampled_from(sorted(SPEC_PARAMS)), st.integers(0, 3),
             st.lists(st.integers(0, 7), max_size=3), st.integers(-1, len(SELECTORS) - 1),
@@ -731,12 +795,17 @@ def desired_from_scratch(c):
                 continue
             if spec.module_kind == "workload" and not desc.workload_allowed:
                 continue
+            if spec.module_kind == "darknet" and not all(
+                any(o.base_int <= r.base_int and r.last_int <= o.last_int for o in desc.address_ranges)
+                for r in map(AddressRange.parse, spec.params["ranges"])
+            ):
+                continue  # the sensor does not own the darknet's ranges
             out[sid].append(spec)
     return out
 
 
 def check_fleet(c):
-    fleet = c.reconcile_now()
+    fleet = reconcile_now(c)
     for sid in c.sensors:
         assert c.actions_for(sid) == [a for a in fleet if a.sensor_id == sid]
     desired = c.desired_state()
@@ -762,9 +831,11 @@ def test_per_sensor_reconcile_matches_fleet_reconcile(ops):
             for op in ops:
                 sensors = sorted(c.sensors)
                 if op[0] == "onboard":
-                    _, labels, honeypot, workload = op
+                    _, labels, honeypot, workload, owner = op
                     n = len(sensors)
-                    onboard(c, descriptor(sensor_id=f"s{n}", ranges=(f"10.{n}.0.0/24",),
+                    # an owner's /16 holds SPEC_PARAMS' darknet range
+                    ranges = (f"10.{n}.0.0/24",) + (("10.200.0.0/16",) if owner else ())
+                    onboard(c, descriptor(sensor_id=f"s{n}", ranges=ranges,
                                           honeypot=honeypot, workload=workload,
                                           labels=dict(LABEL_SETS[labels])))
                 elif op[0] == "deploy":

@@ -225,6 +225,90 @@ def test_admin_unknown_op_and_bad_principal(hub):
     assert reply["error"] == "UnknownOp"
     reply = admin_request(hub.address, {"op": "status", "principal": "nobody"})
     assert reply["error"] == "Unauthorized"
+    for doc in ([{"op": "status"}], "status"):
+        assert admin_request(hub.address, doc)["error"] == "BadRequest"
+
+
+DARKNET_DOC = {"module_kind": "darknet", "name": "dk", "params": {"ranges": ["10.9.1.0/24"]},
+               "target": {"ids": ["A1"]}}
+
+
+@pytest.mark.parametrize("spec", [
+    dict(DARKNET_DOC, priority=5),
+    dict(DARKNET_DOC, params=["x"]),
+    dict(DARKNET_DOC, replicas="two"),
+    dict(DARKNET_DOC, target=["A1"]),
+    dict(DARKNET_DOC, target={"ids": ["A1"], "id": ["A1"]}),
+    [DARKNET_DOC],
+], ids=["unknown-key", "params-not-a-mapping", "replicas-not-a-number", "target-not-a-mapping",
+        "unknown-target-key", "not-a-mapping"])
+def test_admin_deploy_of_a_bad_document_gets_an_error_reply(hub, tmp_path, spec):
+    join(hub, tmp_path)[0].stop()
+    reply = admin_request(hub.address, {"op": "deploy", "principal": ADMIN, "spec": spec})
+    assert reply["error"] == "SchemaError"
+    assert hub.controller.desired_specs == {}
+
+
+def test_admin_deploy_parses_replicas_and_version_as_the_cli_does(hub, tmp_path):
+    join(hub, tmp_path)[0].stop()
+    doc = dict(DARKNET_DOC, replicas="2", version=3)
+    reply = admin_request(hub.address, {"op": "deploy", "principal": ADMIN, "spec": doc})
+    assert reply["ok"] and reply["delta"]["sensors"] == ["A1"]
+    spec = hub.controller.desired_specs["dk"]
+    assert (spec.replicas, spec.version, spec.target_ids) == (2, "3", ["A1"])
+
+
+def test_admin_onboard_with_an_unknown_descriptor_key_gets_an_error_reply(hub):
+    token = admin_request(hub.address, {"op": "token_new", "principal": ADMIN, "sensor_id": "A1", "ttl": 600})
+    _, pub = overlay.generate_keypair()
+    for descriptor in ({"sensor_id": "A1", "org": "org-a", "region": "eu"}, {"sensor_id": "A1"}):
+        reply = admin_request(hub.address, {"op": "onboard", "token": token["token"],
+                                            "static_public_key": pub.hex(), "descriptor": descriptor})
+        assert reply["error"] == "ValidationError"
+    assert hub.controller.sensors == {}
+
+
+def test_label_selected_darknet_lands_on_its_owners_and_rules_emit_answers_for_all(hub, tmp_path):
+    """Each sensor's agent runs the darknet it is sent: the hub sends it only
+    to the sensors that own its range."""
+    for sid, ranges in (("A1", ["10.9.1.0/24"]), ("B1", ["10.9.2.0/24"])):
+        token = admin_request(hub.address, {"op": "token_new", "principal": ADMIN, "sensor_id": sid, "ttl": 600})
+        onboard(hub.address, token["token"],
+                cp.SensorDescriptor(sid, "org-a", "ITA", ranges, labels={"tier": "edge"}))
+    doc = {"module_kind": "darknet", "name": "dk", "params": {"ranges": ["10.9.2.0/25"]},
+           "target": {"labels": {"tier": "edge"}}}
+    reply = admin_request(hub.address, {"op": "deploy", "principal": ADMIN, "spec": doc})
+    assert reply["delta"]["sensors"] == ["A1", "B1"]
+    desired = hub.controller.desired_state()
+    assert (desired["A1"], [s.name for s in desired["B1"]]) == ([], ["dk"])
+    texts = {sid: admin_request(hub.address, {"op": "rules_emit", "sensor_id": sid})["text"] for sid in ("A1", "B1")}
+    assert "10.9.2.0/25" not in texts["A1"]
+    assert "-A HOLO-OUT -s 10.9.2.0/25 -j DROP" in texts["B1"]
+    doc["target"] = {"ids": ["A1"]}
+    reply = admin_request(hub.address, {"op": "deploy", "principal": ADMIN, "spec": doc})
+    assert reply["error"] == "CapabilityDenied" and "10.9.2.0/25" in reply["message"]
+
+
+def test_a_logged_spec_that_no_longer_builds_gets_error_replies(hub, tmp_path):
+    """A state.log from before set_desired ran the builder may hold a spec the
+    builder refuses: rules_emit answers with the builder's error, and the
+    sensor's heartbeats still get their actions."""
+    proc, _ = join(hub, tmp_path)
+    try:
+        params = {"ip_ranges": ["10.9.1.0/28"], "ports": ["1-1023"], "backends": [
+            {"ip_range": "10.9.1.0/28", "ports": "22", "backend_id": "ssh"},
+            {"ip_range": "10.9.1.0/29", "ports": "1-100", "backend_id": "low"},
+        ]}
+        with pytest.raises(cp.SchemaError):
+            hub.controller.set_desired(cp.Principal(ADMIN, cp.ROLE_ADMIN),
+                                       cp.ModuleSpec("responder", "hp", params, target_ids=["A1"]))
+        hub.controller._record({"op": "desired_set", "spec": cp.ModuleSpec(
+            "responder", "hp", params, target_ids=["A1"]).to_doc()})
+        reply = admin_request(hub.address, {"op": "rules_emit", "sensor_id": "A1"})
+        assert reply["error"] == "ResponderError" and "overlap" in reply["message"]
+        assert [a["kind"] for a in proc.heartbeat_once()["actions"]] == ["start"]
+    finally:
+        proc.stop()
 
 
 def test_merged_program_carves_responder_space_out_of_darknet():

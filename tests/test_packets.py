@@ -21,8 +21,9 @@ from holo.packets import (
     build_udp,
     decode,
     encode_record,
-    wrap_ethernet,
 )
+
+from trace_reference import wrap_ethernet
 
 
 def test_minimal_tcp_syn_frame():

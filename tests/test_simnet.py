@@ -5,7 +5,6 @@ import pytest
 import yaml
 
 from holo import analysis, cli, simnet
-from holo.analysis import classify_backscatter
 from holo.net import AddressRange, int_to_ip, ip_to_int
 from holo.packets import PROTO_TCP, TCP_ACK, TCP_SYN, PacketRecord
 from holo.simnet import (
@@ -20,6 +19,7 @@ from holo.simnet import (
 )
 
 from flow_reference import run_to_traces, sensor_packets
+from trace_reference import classify_backscatter, dump_pcap
 
 
 def two_sensor_config(seed=11, duration=600.0, mode="direct"):
@@ -258,7 +258,7 @@ def test_pcap_dump_roundtrips_through_decode(tmp_path):
 
     report = run(two_sensor_config(duration=120.0))
     path = tmp_path / "gen.pcap"
-    n = simnet.dump_pcap(report, path, sensor="s1")
+    n = dump_pcap(report, path, sensor="s1")
     gts = [gt for gt in report.ground_truth if gt.sensor == "s1"]
     assert n == len(gts)
     rows = list(read_pcap(path))
