@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -30,7 +31,7 @@ from .packets import (
     encoded_headers,
     parse_headers,
 )
-from .pcapio import GLOBAL_HEADER, global_header, packet_header, read_pcap
+from .pcapio import GLOBAL_HEADER, PACKET_HEADER, global_header, packet_header, read_pcap
 from .toolbox import TokenBucket, allow
 
 HOUR_US = 3_600_000_000
@@ -60,9 +61,23 @@ def hour_bucket(ts_us: int) -> str:
     return dt.strftime("%Y-%m-%d-%H")
 
 
+# the pattern datetime.strptime compiles for "%Y-%m-%d-%H"
+_BUCKET = re.compile(r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])-(2[0-3]|[01]\d|\d)")
+
+
 def bucket_start_us(bucket: str) -> int:
-    dt = datetime.strptime(bucket, "%Y-%m-%d-%H").replace(tzinfo=timezone.utc)
-    return int(dt.timestamp()) * 1_000_000
+    """The first microsecond of an hour bucket, read as UTC.
+
+    Accepts and rejects what datetime.strptime(bucket, "%Y-%m-%d-%H") does,
+    with the same ValueError, without strptime's per-call format lookup.
+    """
+    found = _BUCKET.match(bucket)
+    if found is None:
+        raise ValueError(f"time data {bucket!r} does not match format '%Y-%m-%d-%H'")
+    if found.end() != len(bucket):
+        raise ValueError(f"unconverted data remains: {bucket[found.end():]}")
+    y, m, d, h = map(int, found.groups())
+    return int(datetime(y, m, d, h, tzinfo=timezone.utc).timestamp()) * 1_000_000
 
 
 @dataclass
@@ -267,7 +282,8 @@ class HourlyWriter:
                 return
         ts = pkt.ts
         data = raw if raw is not None else encode_record(pkt)
-        frame = packet_header(ts, len(data), wire_len) + data
+        n = len(data)
+        frame = PACKET_HEADER.pack(ts // 1_000_000, ts % 1_000_000, n, wire_len or n) + data
         if raw is None and self.link_type == LINK_RAW_IPV4:
             fields = encoded_headers(pkt)
         else:
@@ -291,7 +307,7 @@ class HourlyWriter:
         self._sha.update(frame)
         self._written += size
         self._count += 1
-        self._bytes += len(data)
+        self._bytes += n
         if fields is None:
             return
         if rec is None:

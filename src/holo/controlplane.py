@@ -226,7 +226,15 @@ class InstanceStatus:
     version: str = "1"
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        # every field is a string, so asdict's deep copy is wasted
+        return {
+            "instance_id": self.instance_id,
+            "sensor_id": self.sensor_id,
+            "spec_name": self.spec_name,
+            "module_kind": self.module_kind,
+            "status": self.status,
+            "version": self.version,
+        }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "InstanceStatus":
@@ -588,9 +596,10 @@ class Controller:
             validate_spec(spec)
             targets = self.resolve_target(spec)
             self._require(principal, orgs=[self.sensors[s].org for s in targets])
+            config = darknet.config_from_doc(spec.params) if spec.module_kind == KIND_DARKNET else None
             for sid in targets:
                 # a label selector puts a darknet on the matching sensors that own its ranges
-                refusal = self._refusal(spec, sid, ownership=sid in spec.target_ids)
+                refusal = self._refusal(spec, sid, config if sid in spec.target_ids else None)
                 if refusal:
                     raise CapabilityDenied(refusal)
             self._record({"op": "desired_set", "spec": spec.to_doc()})
@@ -605,19 +614,22 @@ class Controller:
             self._require(principal, orgs=[self.sensors[s].org for s in targets])
             self._record({"op": "desired_removed", "name": name})
 
-    def _refusal(self, spec: ModuleSpec, sensor_id: str, ownership: bool = True) -> Optional[str]:
+    def _refusal(
+        self, spec: ModuleSpec, sensor_id: str, darknet_config: Optional[darknet.DarknetConfig] = None
+    ) -> Optional[str]:
         """Why spec cannot run on sensor_id, or None if it can: the sensor
-        lacks the capability, or (if ownership) does not own the darknet's
-        ranges, the check its agent makes when the darknet starts."""
+        lacks the capability, or does not own the ranges of darknet_config
+        (spec's params, which the caller parses once per spec), the check
+        its agent makes when the darknet starts. None skips that check."""
         desc = self.sensors[sensor_id]
         if spec.module_kind == KIND_RESPONDER and not desc.honeypot_allowed:
             return f"sensor {sensor_id!r} does not allow responders"
         if spec.module_kind == KIND_WORKLOAD and not desc.workload_allowed:
             return f"sensor {sensor_id!r} does not allow workloads"
-        if ownership and spec.module_kind == KIND_DARKNET:
+        if darknet_config is not None:
             try:
-                darknet.check_owned(darknet.config_from_doc(spec.params), desc.address_ranges)
-            except BUILD_ERRORS as exc:  # validate_spec builds it, but an older log may hold any spec
+                darknet.check_owned(darknet_config, desc.address_ranges)
+            except darknet.InvalidConfig as exc:
                 return f"sensor {sensor_id!r}: {exc}"
         return None
 
@@ -627,8 +639,14 @@ class Controller:
             desired: dict[str, list[ModuleSpec]] = {sid: [] for sid in self.sensors}
             for name in sorted(self.desired_specs):
                 spec = self.desired_specs[name]
+                config = None
+                if spec.module_kind == KIND_DARKNET:
+                    try:
+                        config = darknet.config_from_doc(spec.params)
+                    except BUILD_ERRORS:  # validate_spec builds it, but an older log may hold any spec
+                        continue
                 for sid in self.resolve_target(spec):
-                    if self._refusal(spec, sid) is None:
+                    if self._refusal(spec, sid, config) is None:
                         desired[sid].append(spec)
             self._desired = desired
         return self._desired

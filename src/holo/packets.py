@@ -1,7 +1,9 @@
 """Packet records, IPv4 encode/decode and flow keys.
 
 Records carry at most PAYLOAD_PREFIX_MAX payload bytes; full payloads
-only ever live in trace files.
+only ever live in trace files. encode_record is holo's one frame builder:
+it packs each frame's headers once and sums its checksums from the
+record's fields; parse_headers is its one frame reader.
 """
 
 from __future__ import annotations
@@ -93,69 +95,6 @@ class PacketRecord:
         return FlowKey(
             int_to_ip(self.src_ip), int_to_ip(self.dst_ip), self.proto, self.src_port, self.dst_port
         )
-
-
-def _checksum(data: bytes) -> int:
-    """RFC 1071 Internet checksum.
-
-    Since 2**16 == 1 (mod 0xFFFF), the folded ones'-complement sum of the
-    16-bit words is the data read as one big-endian integer, mod 0xFFFF;
-    the fold never yields 0 for nonzero data, so a 0 residue there is 0xFFFF.
-    """
-    if len(data) % 2:
-        data += b"\x00"
-    total = int.from_bytes(data, "big") % 0xFFFF or (0xFFFF if any(data) else 0)
-    return ~total & 0xFFFF
-
-
-_IPV4_HEADER = struct.Struct(">BBHHHBBHII")
-_PSEUDO_HEADER = struct.Struct(">IIxBH")
-
-
-def build_ipv4(proto: int, src_ip: int, dst_ip: int, payload: bytes, ttl: int = 64) -> bytes:
-    total_len = 20 + len(payload)
-    header = _IPV4_HEADER.pack(0x45, 0, total_len, 0, 0, ttl, proto, 0, src_ip, dst_ip)
-    checksum = _checksum(header)
-    return _IPV4_HEADER.pack(0x45, 0, total_len, 0, 0, ttl, proto, checksum, src_ip, dst_ip) + payload
-
-
-def _transport_checksum(src_ip: int, dst_ip: int, proto: int, segment: bytes) -> int:
-    return _checksum(_PSEUDO_HEADER.pack(src_ip, dst_ip, proto, len(segment)) + segment)
-
-
-_TCP_HEADER = struct.Struct(">HHIIBBHHH")
-
-
-def build_tcp(
-    src_ip: int,
-    dst_ip: int,
-    src_port: int,
-    dst_port: int,
-    seq: int,
-    ack: int,
-    flags: int,
-    payload: bytes = b"",
-) -> bytes:
-    """A TCP/IPv4 packet with no options and a 65535-byte window."""
-    fields = (src_port, dst_port, seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, 5 << 4, flags, 65535)
-    segment = _TCP_HEADER.pack(*fields, 0, 0) + payload
-    csum = _transport_checksum(src_ip, dst_ip, PROTO_TCP, segment)
-    return build_ipv4(PROTO_TCP, src_ip, dst_ip, _TCP_HEADER.pack(*fields, csum, 0) + payload)
-
-
-def build_udp(src_ip: int, dst_ip: int, src_port: int, dst_port: int, payload: bytes = b"") -> bytes:
-    length = 8 + len(payload)
-    header = struct.pack(">HHHH", src_port, dst_port, length, 0)
-    csum = _transport_checksum(src_ip, dst_ip, PROTO_UDP, header + payload)
-    header = header[:6] + struct.pack(">H", csum or 0xFFFF)
-    return build_ipv4(PROTO_UDP, src_ip, dst_ip, header + payload)
-
-
-def build_icmp(src_ip: int, dst_ip: int, icmp_type: int, code: int = 0, payload: bytes = b"") -> bytes:
-    header = struct.pack(">BBHI", icmp_type, code, 0, 0)
-    csum = _checksum(header + payload)
-    header = struct.pack(">BBHI", icmp_type, code, csum, 0)
-    return build_ipv4(PROTO_ICMP, src_ip, dst_ip, header + payload)
 
 
 _ETHERTYPE = struct.Struct(">H")
@@ -265,25 +204,61 @@ def decode(
     )
 
 
+# Each frame's headers in one pack: IPv4 (version/IHL, TOS, total length,
+# id, flags/fragment offset, TTL, protocol, checksum, source, destination)
+# followed by the transport header.
+_IPV4_FRAME = struct.Struct(">BBHHHBBHII")
+_TCP_FRAME = struct.Struct(">BBHHHBBHIIHHIIBBHHH")
+_UDP_FRAME = struct.Struct(">BBHHHBBHIIHHHH")
+_ICMP_FRAME = struct.Struct(">BBHHHBBHIIBBHI")
+
+
 def encode_record(record: PacketRecord) -> bytes:
-    """Rebuild a raw IPv4 packet from a record (payload truncated at the prefix)."""
+    """Rebuild a raw IPv4 packet from a record (payload truncated at the prefix).
+
+    TCP has no options, zero sequence numbers and a 65535-byte window; ICMP
+    is an echo request; the TTL is 64. Every checksum is the RFC 1071
+    ones'-complement sum, taken from the fields rather than the built bytes:
+    since 2**16 == 1 (mod 0xFFFF), the folded sum of a run of 16-bit words
+    is its big-endian value mod 0xFFFF, and so adds over even-length pieces
+    (each 32-bit address counts as its value, a byte pair as hi << 8 | lo).
+    The checksum of a residue r is -r mod 0xFFFF; a folded sum is 0 only
+    for all-zero data, which no header here is. UDP sends a 0 sum as 0xFFFF.
+    """
     payload = record.payload_prefix
-    if record.proto == PROTO_TCP:
-        return build_tcp(
-            record.src_ip,
-            record.dst_ip,
-            record.src_port,
-            record.dst_port,
-            0,
-            0,
-            record.tcp_flags,
-            payload,
-        )
-    if record.proto == PROTO_UDP:
-        return build_udp(record.src_ip, record.dst_ip, record.src_port, record.dst_port, payload)
-    if record.proto == PROTO_ICMP:
-        return build_icmp(record.src_ip, record.dst_ip, 8, 0, payload)
-    return build_ipv4(record.proto, record.src_ip, record.dst_ip, payload)
+    n = len(payload)
+    src, dst, proto = record.src_ip, record.dst_ip, record.proto
+    # the payload as one big-endian number, an odd tail byte padded with a
+    # zero: it adds to a sum as its 16-bit words do
+    rest = int.from_bytes(payload, "big") << (n & 1) * 8 if n else 0
+    if proto == PROTO_TCP:
+        sport, dport, flags = record.src_port, record.dst_port, record.tcp_flags
+        # pseudo header (addresses, protocol, TCP length) + ports + data
+        # offset/flags word + the window, which is 0xFFFF == 0
+        tcp_sum = -(src + dst + PROTO_TCP + 20 + n + sport + dport + 0x5000 + flags + rest) % 0xFFFF
+        # IPv4: 0x4500 + total length + TTL/protocol word + addresses
+        ip_sum = -(0x4500 + 40 + n + 0x4000 + PROTO_TCP + src + dst) % 0xFFFF
+        return _TCP_FRAME.pack(
+            0x45, 0, 40 + n, 0, 0, 64, PROTO_TCP, ip_sum, src, dst,
+            sport, dport, 0, 0, 0x50, flags, 0xFFFF, tcp_sum, 0,
+        ) + payload
+    if proto == PROTO_UDP:
+        sport, dport = record.src_port, record.dst_port
+        # the UDP length is in both the pseudo header and the UDP header
+        udp_sum = -(src + dst + PROTO_UDP + 2 * (8 + n) + sport + dport + rest) % 0xFFFF or 0xFFFF
+        ip_sum = -(0x4500 + 28 + n + 0x4000 + PROTO_UDP + src + dst) % 0xFFFF
+        return _UDP_FRAME.pack(
+            0x45, 0, 28 + n, 0, 0, 64, PROTO_UDP, ip_sum, src, dst, sport, dport, 8 + n, udp_sum
+        ) + payload
+    if proto == PROTO_ICMP:
+        # type 8 (echo request), code 0; no pseudo header
+        icmp_sum = -(0x0800 + rest) % 0xFFFF
+        ip_sum = -(0x4500 + 28 + n + 0x4000 + PROTO_ICMP + src + dst) % 0xFFFF
+        return _ICMP_FRAME.pack(
+            0x45, 0, 28 + n, 0, 0, 64, PROTO_ICMP, ip_sum, src, dst, 8, 0, icmp_sum, 0
+        ) + payload
+    ip_sum = -(0x4500 + 20 + n + 0x4000 + proto + src + dst) % 0xFFFF
+    return _IPV4_FRAME.pack(0x45, 0, 20 + n, 0, 0, 64, proto, ip_sum, src, dst) + payload
 
 
 def encoded_headers(record: PacketRecord) -> tuple[int, int, int, int, int, int, int, int]:

@@ -38,10 +38,6 @@ from holo.packets import (
     DecodeError,
     FlowKey,
     PacketRecord,
-    build_icmp,
-    build_ipv4,
-    build_tcp,
-    build_udp,
     decode,
 )
 from holo.collector import REDACT_TRUNCATE, HourlyWriter, LocalLake, SyncPolicy, sync
@@ -49,7 +45,7 @@ from holo.pcapio import read_pcap
 
 import flow_reference
 from flow_reference import packet_table, rendered, table_of, tables_of
-from trace_reference import backscatter_label, classify_backscatter, wrap_ethernet
+from trace_reference import backscatter_label, build_icmp, build_ipv4, build_tcp, build_udp, classify_backscatter, wrap_ethernet
 
 DAY = "2025-08-01"
 DAY_US = day_bounds_us(DAY)[0]

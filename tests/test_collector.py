@@ -3,6 +3,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+from datetime import datetime, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -34,11 +35,10 @@ from holo.packets import (
     TCP_ACK,
     TCP_SYN,
     PacketRecord,
-    build_tcp,
 )
 from holo.pcapio import GLOBAL_HEADER, PACKET_HEADER, read_pcap
 
-from trace_reference import lake_holdings, wrap_ethernet, write_pcap
+from trace_reference import build_tcp, lake_holdings, wrap_ethernet, write_pcap
 
 H10 = bucket_start_us("2025-08-01-10")
 HOUR_US = collector.HOUR_US
@@ -743,3 +743,43 @@ def test_read_pcap_closes_a_path_it_stops_reading(tmp_path, monkeypatch):
     with open(path, "rb") as fh:  # a file handed in stays open
         assert len(list(read_pcap(fh))) == 3
         assert not fh.closed
+
+
+def _strptime_start_us(bucket: str) -> int:
+    """bucket_start_us as it was written before: through strptime."""
+    dt = datetime.strptime(bucket, "%Y-%m-%d-%H").replace(tzinfo=timezone.utc)
+    return int(dt.timestamp()) * 1_000_000
+
+
+def _outcome(fn, bucket):
+    try:
+        return fn(bucket)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+BUCKETS = [
+    "2025-08-01-10", "1970-01-01-00", "2024-02-29-23", "9999-12-31-23", "0001-01-01-00",
+    "2025-8-1-3", "2025-08- 1-03", "2025-8-01-7",  # unpadded and space-padded fields
+    "2025-02-29-00", "2025-04-31-00", "2025-13-01-00", "2025-00-01-00", "2025-08-00-00",
+    "2025-08-32-00", "2025-08-01-24", "0000-01-01-00",  # out of range
+    "", "2025-08-01", "2025-08-01-10-00", "2025-08-01-10\n", " 2025-08-01-10", "25-08-01-10",
+    "+2025-08-01-10", "2025-+8-01-10", "2025-08-01-1x", "2025_08_01_10", "2025-08- 10-00",
+    "2025-008-01-10", "2025-08-01-010", "\u0662025-08-01-10",  # malformed
+]
+
+
+def test_bucket_start_us_matches_strptime():
+    """bucket_start_us gives strptime's value, or raises its ValueError with
+    the same message, on valid, padded, out-of-range and malformed buckets."""
+    for bucket in BUCKETS:
+        assert _outcome(bucket_start_us, bucket) == _outcome(_strptime_start_us, bucket), bucket
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(0, 253_402_300_799).map(lambda s: hour_bucket(s * 1_000_000)),  # up to year 9999
+    st.text(alphabet="0123456789- x", max_size=16),
+))
+def test_bucket_start_us_matches_strptime_on_generated_buckets(bucket):
+    assert _outcome(bucket_start_us, bucket) == _outcome(_strptime_start_us, bucket)

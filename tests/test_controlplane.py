@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import errno
 import itertools
 import json
@@ -259,6 +260,23 @@ class TestSetDesired:
                           target_ids=["B1"], target_labels={"tier": "edge"})
         with pytest.raises(CapabilityDenied, match="'B1'"):
             c.set_desired(ADMIN, spec)
+
+    def test_a_rebuild_parses_each_darknet_spec_once(self, monkeypatch):
+        """The desired-state rebuild checks ownership against one parsed
+        config per spec, not one per (spec, sensor) pair."""
+        c = make_controller()
+        for i in range(6):
+            onboard(c, descriptor(sensor_id=f"S{i}", ranges=(f"10.{i}.0.0/16", "10.255.0.0/24"),
+                                  labels={"tier": "edge"}))
+        for k in range(3):
+            c.set_desired(ADMIN, ModuleSpec("darknet", f"dk{k}", {"ranges": ["10.255.0.0/24"]},
+                                            target_labels={"tier": "edge"}))
+        parsed = []
+        real = cp.darknet.config_from_doc
+        monkeypatch.setattr(cp.darknet, "config_from_doc", lambda params: parsed.append(params) or real(params))
+        desired = c.desired_state()
+        assert len(parsed) == 3
+        assert all([s.name for s in specs] == ["dk0", "dk1", "dk2"] for specs in desired.values())
 
     def test_org_operator_scoped(self):
         c = make_controller()
@@ -609,6 +627,14 @@ def test_documents_round_trip_and_refuse_unknown_keys():
         ModuleSpec.from_doc(dict(spec.to_doc(), priority=1))
     with pytest.raises(ValidationError, match="region"):
         SensorDescriptor.from_doc(dict(desc.to_doc(), region="eu"))
+
+
+def test_instance_status_doc_is_its_asdict():
+    """to_doc builds the heartbeat document by hand; it holds what asdict gives."""
+    status = InstanceStatus("dk-0", "A1", "dk", "darknet", cp.ST_CRASHED, version="3")
+    assert status.to_doc() == dataclasses.asdict(status)
+    assert list(status.to_doc()) == [f.name for f in dataclasses.fields(InstanceStatus)]
+    assert InstanceStatus.from_doc(status.to_doc()) == status
 
 
 def test_secret_files_are_0600_from_creation(tmp_path, monkeypatch):

@@ -17,10 +17,10 @@ from holo.darknet import (
 from holo.net import AddressRange, int_to_ip, ip_to_int
 from holo import analysis
 from holo.collector import HourlyWriter, trace_filename
-from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_ACK, TCP_SYN, PacketRecord, build_tcp
+from holo.packets import LINK_RAW_IPV4, PROTO_TCP, TCP_ACK, TCP_SYN, PacketRecord
 from holo.pcapio import global_header, packet_header, read_pcap
 
-from trace_reference import write_pcap
+from trace_reference import build_tcp, write_pcap
 
 
 def record(dst, src="198.51.100.7", ts=0, dport=22):

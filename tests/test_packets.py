@@ -15,15 +15,12 @@ from holo.packets import (
     TCP_SYN,
     DecodeError,
     PacketRecord,
-    build_icmp,
-    build_ipv4,
-    build_tcp,
-    build_udp,
     decode,
     encode_record,
 )
 
-from trace_reference import wrap_ethernet
+import trace_reference
+from trace_reference import build_icmp, build_ipv4, build_tcp, build_udp, wrap_ethernet
 
 
 def test_minimal_tcp_syn_frame():
@@ -132,24 +129,25 @@ def test_icmp_payload_after_header():
     assert (rec.src_port, rec.dst_port) == (0, 0)
 
 
-def test_ip_checksum_valid():
-    raw = build_tcp(ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), 1, 2, 3, 4, TCP_SYN)
-    header = raw[:20]
-    total = sum(struct.unpack(">10H", header))
+def _fold(data: bytes) -> int:
+    """The RFC 1071 loop: sum the 16-bit words (zero-padded), fold the carries."""
+    padded = data + b"\x00" * (len(data) % 2)
+    total = sum(struct.unpack(f">{len(padded) // 2}H", padded))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
-    assert total == 0xFFFF  # ones-complement sum over a valid header
+    return total
+
+
+def test_ip_checksum_valid():
+    raw = build_tcp(ip_to_int("1.2.3.4"), ip_to_int("10.9.0.5"), 1, 2, 3, 4, TCP_SYN)
+    assert _fold(raw[:20]) == 0xFFFF  # ones-complement sum over a valid header
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.binary(max_size=1500), st.lists(st.sampled_from([b"\x00", b"\xff"]), max_size=64).map(b"".join)))
 def test_checksum_matches_word_folding(data):
     """The checksum equals the RFC 1071 loop: sum 16-bit words, fold carries, invert."""
-    padded = data + b"\x00" * (len(data) % 2)
-    total = sum(struct.unpack(f">{len(padded) // 2}H", padded))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    assert packets._checksum(data) == ~total & 0xFFFF
+    assert trace_reference._checksum(data) == ~_fold(data) & 0xFFFF
 
 
 ip_octet = st.integers(0, 255)
@@ -211,3 +209,76 @@ def test_encoded_headers_match_parse_headers(src, dst, proto, sport, dport, flag
                           tcp_flags=flags, payload_len=payload_len, payload_prefix=payload)
     frame = encode_record(record)
     assert packets.encoded_headers(record) == packets.parse_headers(frame, LINK_RAW_IPV4)
+
+
+def _checksums_verify(frame: bytes) -> bool:
+    """Every checksum in an encode_record frame folds to 0xFFFF with its data."""
+    proto, src_dst, segment = frame[9], frame[12:20], frame[20:]
+    if _fold(frame[:20]) != 0xFFFF:
+        return False
+    if proto in (PROTO_TCP, PROTO_UDP):
+        return _fold(src_dst + struct.pack(">BBH", 0, proto, len(segment)) + segment) == 0xFFFF
+    if proto == PROTO_ICMP:
+        return _fold(segment) == 0xFFFF
+    return True
+
+
+ports = st.one_of(st.sampled_from([0, 0xFFFF]), st.integers(0, 0xFFFF))
+addresses = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 2**32 - 1))
+payloads = st.one_of(
+    st.binary(max_size=256),
+    st.integers(0, 256).map(lambda n: b"\x00" * n),
+    st.integers(0, 256).map(lambda n: b"\xff" * n),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    src=addresses,
+    dst=addresses,
+    proto=st.one_of(st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP]), st.integers(0, 255)),
+    sport=ports,
+    dport=ports,
+    flags=st.integers(0, 255),
+    payload=payloads,
+)
+def test_encode_record_matches_the_reference_builders(src, dst, proto, sport, dport, flags, payload):
+    """encode_record, which sums checksums from the fields, builds the bytes
+    the reference builders build by checksumming their output, and every
+    checksum in them verifies."""
+    record = PacketRecord(ts=0, src_ip=src, dst_ip=dst, proto=proto, src_port=sport, dst_port=dport,
+                          tcp_flags=flags, payload_len=len(payload), payload_prefix=payload)
+    frame = encode_record(record)
+    assert frame == trace_reference.encode_reference(record)
+    assert _checksums_verify(frame)
+
+
+def _zero_sum_record(proto: int, payload: bytes = b"") -> PacketRecord:
+    """A record whose IPv4 header and, for TCP and UDP, transport segment
+    (checksum fields zero) fold to 0xFFFF, the ones'-complement zero: the
+    destination address and the source port absorb each sum's remainder."""
+    record = PacketRecord(ts=0, src_ip=ip_to_int("198.51.100.7"), dst_ip=0, proto=proto, src_port=0,
+                          dst_port=80, tcp_flags=TCP_SYN if proto == PROTO_TCP else 0,
+                          payload_len=len(payload), payload_prefix=payload)
+    header = bytearray(trace_reference.encode_reference(record)[:20])
+    header[10:12] = b"\x00\x00"
+    record.dst_ip = 0xFFFF - _fold(bytes(header))
+    frame = bytearray(trace_reference.encode_reference(record))
+    csum_at = 20 + (16 if proto == PROTO_TCP else 6)
+    frame[csum_at : csum_at + 2] = b"\x00\x00"
+    pseudo = frame[12:20] + struct.pack(">BBH", 0, proto, len(frame) - 20)
+    record.src_port = 0xFFFF - _fold(bytes(pseudo + frame[20:]))
+    return record
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x01", b"\x7f\x00\x33", b"abcd"], ids=["empty", "1B", "3B", "4B"])
+def test_checksums_of_zero_sums(payload):
+    """A sum of 0 (mod 0xFFFF) gives checksum 0 in IPv4 and TCP headers and
+    0xFFFF in a UDP header, where 0 means no checksum."""
+    for proto, csum_at, expect in ((PROTO_TCP, 36, b"\x00\x00"), (PROTO_UDP, 26, b"\xff\xff")):
+        record = _zero_sum_record(proto, payload)
+        frame = encode_record(record)
+        assert frame == trace_reference.encode_reference(record)
+        assert frame[10:12] == b"\x00\x00"
+        assert frame[csum_at : csum_at + 2] == expect
+        assert _checksums_verify(frame)
